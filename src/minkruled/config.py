@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -85,6 +85,19 @@ def _pair(raw, path: str) -> tuple[float, float]:
     return (lo, hi)
 
 
+def polynomial(coeffs: Sequence[float]) -> Callable[[float], float]:
+    """Horner evaluation of sum(c_k s^k), coefficients constant term first."""
+    cs = list(coeffs)
+
+    def poly(s: float) -> float:
+        acc = 0.0
+        for c in reversed(cs):
+            acc = acc * s + c
+        return acc
+
+    return poly
+
+
 def _function(raw, path: str) -> Callable[[float], float]:
     if not isinstance(raw, dict):
         raise _fail(path, "expected an object with 'poly' or 'table'")
@@ -92,15 +105,7 @@ def _function(raw, path: str) -> Callable[[float], float]:
         coeffs = raw["poly"]
         if not isinstance(coeffs, list) or not coeffs:
             raise _fail(f"{path}.poly", "expected a non-empty coefficient list")
-        cs = [_number(c, f"{path}.poly[{i}]") for i, c in enumerate(coeffs)]
-
-        def poly(s: float) -> float:
-            acc = 0.0
-            for c in reversed(cs):
-                acc = acc * s + c
-            return acc
-
-        return poly
+        return polynomial([_number(c, f"{path}.poly[{i}]") for i, c in enumerate(coeffs)])
     if "table" in raw:
         tab = raw["table"]
         if not isinstance(tab, dict) or "s" not in tab or "values" not in tab:

@@ -9,6 +9,7 @@ frame equations.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -27,7 +28,18 @@ from .errors import (
     NullDarbouxError,
     OutOfDomainError,
 )
-from .lorentz import CausalClass, as_vector, classify, inner, triple
+from .lorentz import (
+    CAUSAL_CLASSES,
+    LIGHTLIKE_INDEX,
+    SPACELIKE_INDEX,
+    CausalClass,
+    _causal_index,
+    _cross,
+    _inner,
+    as_vector,
+    inner,
+    triple,
+)
 
 __all__ = [
     "Curve",
@@ -37,9 +49,6 @@ __all__ = [
     "KAPPA_MIN",
     "ODE_STEP",
     "TAU_FRAME",
-    "TAU_FRAME_FD",
-    "TAU_FRENET",
-    "TAU_FRENET_FD",
     "TAU_HELIX",
     "TAU_SPEED",
     "curve_from_curvature",
@@ -52,15 +61,45 @@ __all__ = [
 
 TAU_SPEED = 1e-6
 TAU_FRAME = 1e-8
-TAU_FRAME_FD = 1e-4
-TAU_FRENET = 1e-8
-TAU_FRENET_FD = 1e-4
 KAPPA_MIN = 1e-8
 TAU_HELIX = 1e-6
 ODE_STEP = 1e-3
 NULL_GAP = 1e-12
 
-_ETA = np.array([-1.0, 1.0, 1.0])
+
+def _samples(s) -> np.ndarray:
+    """s as a 1-D float array; a float becomes a single sample."""
+    arr = np.asarray(s, dtype=float)
+    if arr.ndim > 1:
+        raise ValueError(f"s must be a float or a 1-D array, got shape {arr.shape}")
+    return np.atleast_1d(arr)
+
+
+def _result(value, s):
+    """Undo _samples for a float s: (1,) -> float, (1, 3) -> (3,), and the
+    same field by field for a dataclass. For an array s, value is returned."""
+    if np.ndim(s) > 0:
+        return value
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(
+            value,
+            **{f.name: _result(getattr(value, f.name), s) for f in dataclasses.fields(value)},
+        )
+    item = value[0]
+    return item.item() if isinstance(item, np.generic) else item
+
+
+def _check(bad: np.ndarray, error: type[Exception], message: Callable[[int], str]) -> None:
+    """Raise error(message(i)) for the first sample i that is bad."""
+    if bad.any():
+        raise error(message(int(np.argmax(bad))))
+
+
+def _require_unit_speed(d1: np.ndarray, s: np.ndarray) -> None:
+    speed = _inner(d1, d1)
+    _check(np.abs(speed + 1.0) > TAU_SPEED, NotUnitSpeedError, lambda i: (
+        f"<r', r'> = {speed[i]} at s = {s[i]}; expected -1 within {TAU_SPEED}"
+    ))
 
 
 class DerivativeMode(enum.Enum):
@@ -75,6 +114,11 @@ class Curve:
     tuple of evaluators for r', r'', r''' (a prefix is allowed); without
     them differentiation falls back to five-point stencils, which shrinks
     the usable parameter window by the stencil half-width.
+
+    The evaluators are called with one float at a time, so they may use
+    math.*. point and derivative take a float s, giving a (3,) result, or a
+    1-D array of N samples, giving (N, 3): one evaluator call per sample,
+    the stack checked once for shape and finiteness.
 
     The unit-speed timelike property <r', r'> = -1 is validated on a sample
     grid at construction and again wherever a frame is computed; it is never
@@ -106,47 +150,54 @@ class Curve:
             return DerivativeMode.ANALYTIC
         return DerivativeMode.FINITE_DIFFERENCE
 
-    def point(self, s: float) -> np.ndarray:
-        self._require(s, 0)
-        return as_vector(self._position(s))
+    def point(self, s) -> np.ndarray:
+        s_arr = _samples(s)
+        self._require(s_arr, 0)
+        return _result(_stack(self._position, s_arr), s)
 
-    def derivative(self, s: float, order: int) -> np.ndarray:
+    def derivative(self, s, order: int) -> np.ndarray:
         if order not in (1, 2, 3):
             raise ValueError("derivative order must be 1, 2 or 3")
+        s_arr = _samples(s)
         if self._derivatives:
             if order > len(self._derivatives):
                 raise MissingDerivativeError(
                     f"no analytic evaluator for derivative order {order}"
                 )
-            self._require(s, 0)
-            return as_vector(self._derivatives[order - 1](s))
-        self._require(s, order)
-        return numdiff.derivative(lambda u: as_vector(self._position(u)), s, order)
+            self._require(s_arr, 0)
+            return _result(_stack(self._derivatives[order - 1], s_arr), s)
+        self._require(s_arr, order)
+        return _result(numdiff.derivative(lambda u: _stack(self._position, u), s_arr, order), s)
 
-    def _require(self, s: float, order: int) -> None:
+    def _require(self, s: np.ndarray, order: int) -> None:
         lo, hi = self.domain
         margin = 0.0
         if order > 0 and not self._derivatives:
             margin = numdiff.stencil_halfwidth(order)
         tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if s < lo + margin - tol or s > hi - margin + tol:
-            raise OutOfDomainError(
-                f"s = {s} outside usable domain [{lo + margin}, {hi - margin}]"
-            )
+        _check((s < lo + margin - tol) | (s > hi - margin + tol), OutOfDomainError, lambda i: (
+            f"s = {s[i]} outside usable domain [{lo + margin}, {hi - margin}]"
+        ))
 
     def _validate_unit_speed(self, samples: int) -> None:
         lo, hi = self.domain
         margin = 0.0 if self._derivatives else numdiff.stencil_halfwidth(1)
         grid = np.linspace(lo + margin, hi - margin, max(3, samples))
-        for s in grid:
-            speed = inner(self.derivative(float(s), 1), self.derivative(float(s), 1))
-            if abs(speed + 1.0) > TAU_SPEED:
-                raise NotUnitSpeedError(
-                    f"<r', r'> = {speed} at s = {s}; expected -1 within {TAU_SPEED}"
-                )
+        _require_unit_speed(self.derivative(grid, 1), grid)
 
 
-def derivatives(curve: Curve, s: float, order: int) -> list[np.ndarray]:
+def _stack(fn: Callable[[float], np.ndarray], s: np.ndarray) -> np.ndarray:
+    # The only loop over s in the frame stack: evaluators take one float.
+    rows = [fn(u) for u in s.tolist()]
+    out = np.array(rows, dtype=float) if rows else np.empty((0, 3))
+    if out.shape != (s.size, 3):
+        raise ValueError(f"curve evaluators must return 3-vectors, got shape {out.shape[1:]}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("vector components must be finite")
+    return out
+
+
+def derivatives(curve: Curve, s, order: int) -> list[np.ndarray]:
     """Derivatives r', .., r^(order)(s) as a list (order in 1..3)."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
@@ -158,7 +209,8 @@ class FrenetApparatus:
     """Moving frame of a timelike curve: t timelike, n and b spacelike.
 
     The frame satisfies t' = kappa n, n' = kappa t - tau b, b' = tau n, with
-    kappa > 0 and the coordinate determinant of (t, n, b) fixed to +1.
+    kappa > 0 and the coordinate determinant of (t, n, b) fixed to +1. For
+    an array of s the vectors are (N, 3) and the invariants (N,).
     """
 
     t: np.ndarray
@@ -169,40 +221,35 @@ class FrenetApparatus:
 
 
 def _complete_frame(t: np.ndarray, n: np.ndarray) -> np.ndarray:
-    # Unit spacelike vector Lorentz-orthogonal to t and n. A vector w is
-    # Lorentz-orthogonal to u exactly when it is Euclidean-orthogonal to
-    # eta*u, so the Euclidean cross of the flipped vectors does the job.
-    w = np.cross(_ETA * t, _ETA * n)
-    q = inner(w, w)
-    if q <= 1e-6:
-        raise DegenerateFrameError("tangent and normal do not span a stable plane")
-    w = w / math.sqrt(q)
-    # Orientation: coordinate determinant +1. The frame equations alone leave
+    # Unit spacelike vector Lorentz-orthogonal to t and n. The determinant
+    # of (t, n, w) equals <cross(t, n), w>, so w = cross(t, n) / |..| has
+    # determinant +1 by construction; the frame equations alone would leave
     # the sign of b (and with it the sign of tau) free.
-    if triple(t, n, w) < 0.0:
-        w = -w
-    return w
+    w = _cross(t, n)
+    q = _inner(w, w)
+    if np.any(q <= 1e-6):
+        raise DegenerateFrameError("tangent and normal do not span a stable plane")
+    return w / np.sqrt(q)[:, None]
 
 
-def frenet_apparatus(curve: Curve, s: float) -> FrenetApparatus:
-    """Frame and scalar invariants at s.
+def frenet_apparatus(curve: Curve, s) -> FrenetApparatus:
+    """Frame and scalar invariants at s (a float or a 1-D array).
 
     t = r'; kappa = ||r''|| (r'' is spacelike because it is orthogonal to the
     timelike tangent); n = r''/kappa; b completes the frame with determinant
     +1; tau is read off the third derivative as -<r''', b>/kappa.
     """
-    d1, d2, d3 = derivatives(curve, s, 3)
-    speed = inner(d1, d1)
-    if abs(speed + 1.0) > TAU_SPEED:
-        raise NotUnitSpeedError(f"<r', r'> = {speed} at s = {s}")
-    ksq = inner(d2, d2)
-    kappa = math.sqrt(max(ksq, 0.0))
-    if kappa < KAPPA_MIN:
-        raise DegenerateFrameError(f"curvature {kappa} below {KAPPA_MIN} at s = {s}")
-    n = d2 / kappa
+    s_arr = _samples(s)
+    d1, d2, d3 = derivatives(curve, s_arr, 3)
+    _require_unit_speed(d1, s_arr)
+    kappa = np.sqrt(np.maximum(_inner(d2, d2), 0.0))
+    _check(kappa < KAPPA_MIN, DegenerateFrameError, lambda i: (
+        f"curvature {kappa[i]} below {KAPPA_MIN} at s = {s_arr[i]}"
+    ))
+    n = d2 / kappa[:, None]
     b = _complete_frame(d1, n)
-    tau = -inner(d3, b) / kappa
-    return FrenetApparatus(t=d1, n=n, b=b, kappa=kappa, tau=tau)
+    tau = -_inner(d3, b) / kappa
+    return _result(FrenetApparatus(t=d1, n=n, b=b, kappa=kappa, tau=tau), s)
 
 
 @dataclass(frozen=True)
@@ -213,7 +260,8 @@ class DarbouxData:
     kappa = d_norm cosh(theta), tau = d_norm sinh(theta). For timelike d the
     roles swap: d_norm^2 = tau^2 - kappa^2, kappa = d_norm sinh(theta),
     tau = d_norm cosh(theta) (torsion taken positive). theta_dot is obtained
-    by finite differencing of theta along the curve.
+    by finite differencing of theta along the curve. For an array of s the
+    fields are stacked and d_class is an object array of CausalClass.
     """
 
     d: np.ndarray
@@ -224,37 +272,36 @@ class DarbouxData:
     c_unit: np.ndarray
 
 
-def _rotation_angle(curve: Curve, s: float) -> tuple[FrenetApparatus, np.ndarray, CausalClass, float, float]:
+def _rotation(curve: Curve, s: np.ndarray):
+    """(frame, d, causal index into CAUSAL_CLASSES, ||d||, theta) at an array
+    of s. The causal branch is chosen per sample, so an array that crosses
+    kappa = |tau| gives the same values as one call per sample."""
     fa = frenet_apparatus(curve, s)
-    d = fa.tau * fa.t - fa.kappa * fa.b
-    d_class = classify(d)
-    if d_class.is_lightlike:
-        raise NullDarbouxError(
-            f"rotation vector lightlike at s = {s} (kappa = {fa.kappa}, tau = {fa.tau})"
-        )
-    if d_class.is_spacelike:
-        d_norm = math.sqrt(inner(d, d))
-        theta = math.atanh(fa.tau / fa.kappa)
-    else:
-        d_norm = math.sqrt(-inner(d, d))
-        theta = math.atanh(fa.kappa / fa.tau)
-    return fa, d, d_class, d_norm, theta
+    d = fa.tau[:, None] * fa.t - fa.kappa[:, None] * fa.b
+    causal = _causal_index(d)
+    _check(causal == LIGHTLIKE_INDEX, NullDarbouxError, lambda i: (
+        f"rotation vector lightlike at s = {s[i]} (kappa = {fa.kappa[i]}, tau = {fa.tau[i]})"
+    ))
+    spacelike = causal == SPACELIKE_INDEX
+    d_norm = np.sqrt(np.abs(_inner(d, d)))
+    theta = np.arctanh(
+        np.where(spacelike, fa.tau, fa.kappa) / np.where(spacelike, fa.kappa, fa.tau)
+    )
+    return fa, d, causal, d_norm, theta
 
 
-def darboux_data(curve: Curve, s: float) -> DarbouxData:
-    """Rotation vector data at s, including the angle rate theta_dot."""
-    _, d, d_class, d_norm, theta = _rotation_angle(curve, s)
-    theta_dot = float(
-        numdiff.derivative(lambda u: _rotation_angle(curve, u)[4], s, order=1)
-    )
-    return DarbouxData(
-        d=d,
-        d_class=d_class,
-        d_norm=d_norm,
-        theta=theta,
-        theta_dot=theta_dot,
-        c_unit=d / d_norm,
-    )
+def _darboux(curve: Curve, s: np.ndarray):
+    """(frame, spacelike mask, DarbouxData) at an array of s."""
+    fa, d, causal, d_norm, theta = _rotation(curve, s)
+    theta_dot = numdiff.first_derivative(lambda u: _rotation(curve, u)[4], s)
+    dd = DarbouxData(d, CAUSAL_CLASSES[causal], d_norm, theta, theta_dot, d / d_norm[:, None])
+    return fa, causal == SPACELIKE_INDEX, dd
+
+
+def darboux_data(curve: Curve, s) -> DarbouxData:
+    """Rotation vector data at s (a float or a 1-D array), including the
+    angle rate theta_dot."""
+    return _result(_darboux(curve, _samples(s))[2], s)
 
 
 def is_general_helix(curve: Curve, samples: Sequence[float]) -> tuple[bool, float]:
@@ -263,35 +310,24 @@ def is_general_helix(curve: Curve, samples: Sequence[float]) -> tuple[bool, floa
     The deviation is the largest distance of the ratio from its median; the
     verdict is positive when it stays within TAU_HELIX.
     """
-    ratios = np.array(
-        [
-            (lambda fa: fa.tau / fa.kappa)(frenet_apparatus(curve, float(s)))
-            for s in samples
-        ]
-    )
+    fa = frenet_apparatus(curve, _samples(samples))
+    ratios = fa.tau / fa.kappa
     deviation = float(np.max(np.abs(ratios - np.median(ratios))))
     return deviation <= TAU_HELIX, deviation
 
 
 def _coerce_frame(initial_frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if initial_frame is None:
-        return (
-            np.array([1.0, 0.0, 0.0]),
-            np.array([0.0, 1.0, 0.0]),
-            np.array([0.0, 0.0, 1.0]),
-        )
-    if hasattr(initial_frame, "t"):
-        return (
-            as_vector(initial_frame.t),
-            as_vector(initial_frame.n),
-            as_vector(initial_frame.b),
-        )
+        initial_frame = np.eye(3)
+    elif hasattr(initial_frame, "t"):
+        initial_frame = (initial_frame.t, initial_frame.n, initial_frame.b)
     t, n, b = initial_frame
     return as_vector(t), as_vector(n), as_vector(b)
 
 
-def _validate_initial_frame(t: np.ndarray, n: np.ndarray, b: np.ndarray) -> None:
-    checks = {
+def orthonormality_residuals(t, n, b) -> dict[str, float]:
+    """The six Lorentz-orthonormality residuals of a (t, n, b) frame."""
+    return {
         "<t,t>+1": inner(t, t) + 1.0,
         "<n,n>-1": inner(n, n) - 1.0,
         "<b,b>-1": inner(b, b) - 1.0,
@@ -299,7 +335,10 @@ def _validate_initial_frame(t: np.ndarray, n: np.ndarray, b: np.ndarray) -> None
         "<n,b>": inner(n, b),
         "<b,t>": inner(b, t),
     }
-    for name, value in checks.items():
+
+
+def _validate_initial_frame(t: np.ndarray, n: np.ndarray, b: np.ndarray) -> None:
+    for name, value in orthonormality_residuals(t, n, b).items():
         if abs(value) > TAU_FRAME:
             raise InvalidFrameError(f"initial frame fails {name} = {value}")
     if triple(t, n, b) < 0.0:
@@ -374,14 +413,14 @@ def curve_from_curvature(
         # Lorentzian Gram-Schmidt; the projection onto the timelike t adds
         # (rather than subtracts) the <.,t> component because <t,t> = -1.
         t = state[1]
-        q = -inner(t, t)
+        q = -_inner(t, t)
         if q <= 0.0:
             raise IntegrationError(f"tangent left the timelike cone near s = {s + h}")
         t = t / math.sqrt(q)
-        n = state[2] + inner(state[2], t) * t
-        n = n / math.sqrt(inner(n, n))
-        b = state[3] + inner(state[3], t) * t - inner(state[3], n) * n
-        b = b / math.sqrt(inner(b, b))
+        n = state[2] + _inner(state[2], t) * t
+        n = n / math.sqrt(_inner(n, n))
+        b = state[3] + _inner(state[3], t) * t - _inner(state[3], n) * n
+        b = b / math.sqrt(_inner(b, b))
         state = np.vstack([state[0], t, n, b])
 
     k_spline = min(5, nsteps)

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, _rotation_angle, frenet_apparatus
-from .lorentz import CausalClass, as_vector
+from .curves import Curve, _result, _rotation, _samples, frenet_apparatus
+from .lorentz import CAUSAL_CLASSES, SPACELIKE_INDEX, CausalClass
 
 __all__ = [
     "EPS_CUSP",
@@ -34,6 +34,8 @@ class InvoluteCurve:
     def __init__(self, base: Curve, c_const: float, domain: tuple[float, float] | None = None):
         self.base = base
         self.c_const = float(c_const)
+        if not math.isfinite(self.c_const):
+            raise ValueError("involute constant c must be finite")
         if domain is None:
             domain = self._default_domain()
         lo, hi = float(domain[0]), float(domain[1])
@@ -62,16 +64,16 @@ class InvoluteCurve:
         return max(pieces, key=lambda p: p[1] - p[0])
 
 
-def involute_point(inv: InvoluteCurve, s: float) -> np.ndarray:
-    """gamma(s) = r(s) + (c - s) t(s)."""
-    base = inv.base
-    return as_vector(base.point(s) + (inv.c_const - s) * base.derivative(s, 1))
+def involute_point(inv: InvoluteCurve, s) -> np.ndarray:
+    """gamma(s) = r(s) + (c - s) t(s); (3,) for a float s, (N, 3) for an array."""
+    offset = inv.c_const - np.asarray(s, dtype=float)
+    return inv.base.point(s) + offset[..., None] * inv.base.derivative(s, 1)
 
 
-def involute_velocity(inv: InvoluteCurve, s: float) -> np.ndarray:
-    """gamma'(s) = (c - s) kappa(s) n(s); vanishes at the cusp s = c."""
+def involute_velocity(inv: InvoluteCurve, s) -> np.ndarray:
+    """gamma'(s) = (c - s) kappa(s) n(s), per sample of s; zero at the cusp s = c."""
     fa = frenet_apparatus(inv.base, s)
-    return (inv.c_const - s) * fa.kappa * fa.n
+    return ((inv.c_const - np.asarray(s, dtype=float)) * fa.kappa)[..., None] * fa.n
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,8 @@ class InvoluteFrame:
     t* equals the base normal in both cases. With a spacelike rotation
     vector the signature is (<t*,t*>, <n*,n*>, <b*,b*>) = (+1, -1, +1); with
     a timelike one the hyperbolic rotation lands on (+1, +1, -1) instead.
-    The frame does not depend on the involute constant c.
+    The frame does not depend on the involute constant c. For an array of s
+    the vectors are (N, 3) and d_case is an object array of CausalClass.
     """
 
     t_star: np.ndarray
@@ -90,20 +93,18 @@ class InvoluteFrame:
     d_case: CausalClass
 
 
-def involute_frame(inv: InvoluteCurve, s: float) -> InvoluteFrame:
+def involute_frame(inv: InvoluteCurve, s) -> InvoluteFrame:
     """Involute frame at s via the hyperbolic rotation by theta.
 
     Spacelike rotation vector: t* = n, n* = -cosh(theta) t + sinh(theta) b,
     b* = -sinh(theta) t + cosh(theta) b. Timelike rotation vector: t* = n,
     n* = sinh(theta) t - cosh(theta) b, b* = -cosh(theta) t + sinh(theta) b.
+    The case is chosen per sample.
     """
-    fa, _, d_class, _, theta = _rotation_angle(inv.base, s)
-    ch = math.cosh(theta)
-    sh = math.sinh(theta)
-    if d_class.is_spacelike:
-        n_star = -ch * fa.t + sh * fa.b
-        b_star = -sh * fa.t + ch * fa.b
-    else:
-        n_star = sh * fa.t - ch * fa.b
-        b_star = -ch * fa.t + sh * fa.b
-    return InvoluteFrame(t_star=fa.n, n_star=n_star, b_star=b_star, d_case=d_class)
+    fa, _, causal, _, theta = _rotation(inv.base, _samples(s))
+    ch = np.cosh(theta)[:, None]
+    sh = np.sinh(theta)[:, None]
+    spacelike = (causal == SPACELIKE_INDEX)[:, None]
+    n_star = np.where(spacelike, -ch * fa.t + sh * fa.b, sh * fa.t - ch * fa.b)
+    b_star = np.where(spacelike, -sh * fa.t + ch * fa.b, -ch * fa.t + sh * fa.b)
+    return _result(InvoluteFrame(fa.n, n_star, b_star, CAUSAL_CLASSES[causal]), s)

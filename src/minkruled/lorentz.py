@@ -2,7 +2,9 @@
 
 Vectors are plain length-3 float arrays (anything array-like is accepted);
 the first coordinate carries the minus sign. All functions are pure and safe
-for concurrent use.
+for concurrent use. The public functions validate their arguments; the
+row-wise helpers (_inner, _cross, _causal_index) take (3,) or (N, 3) arrays
+already known to be finite and serve the frame kernel.
 """
 
 from __future__ import annotations
@@ -46,11 +48,17 @@ def as_vector(u) -> np.ndarray:
     return v
 
 
+def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return -u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def _null_tolerance(u: np.ndarray) -> np.ndarray:
+    return NULL_TOL * np.maximum(1.0, np.sum(u * u, axis=-1))
+
+
 def inner(u, v) -> float:
     """Indefinite inner product -u0*v0 + u1*v1 + u2*v2."""
-    u = as_vector(u)
-    v = as_vector(v)
-    return float(-u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
+    return float(_inner(as_vector(u), as_vector(v)))
 
 
 def norm(u) -> float:
@@ -60,8 +68,7 @@ def norm(u) -> float:
 
 def null_tolerance(u) -> float:
     """Absolute tolerance below which a Lorentzian square counts as zero."""
-    u = as_vector(u)
-    return NULL_TOL * max(1.0, float(u @ u))
+    return float(_null_tolerance(as_vector(u)))
 
 
 class Causality(enum.Enum):
@@ -104,17 +111,31 @@ class CausalClass:
         return self.kind.value
 
 
+# _causal_index(u) indexes this table; an object array so that an (N,)
+# index array picks one CausalClass per row without a Python loop.
+CAUSAL_CLASSES = np.array(
+    [
+        CausalClass(Causality.TIMELIKE, Orientation.NEGATIVE),
+        CausalClass(Causality.TIMELIKE, Orientation.POSITIVE),
+        CausalClass(Causality.LIGHTLIKE),
+        CausalClass(Causality.SPACELIKE),
+    ],
+    dtype=object,
+)
+LIGHTLIKE_INDEX = 2
+SPACELIKE_INDEX = 3
+
+
+def _causal_index(u: np.ndarray) -> np.ndarray:
+    q = _inner(u, u)
+    tol = _null_tolerance(u)
+    timelike = (u[..., 0] > 0).astype(int)
+    return np.where(q > tol, SPACELIKE_INDEX, np.where(q < -tol, timelike, LIGHTLIKE_INDEX))
+
+
 def classify(u) -> CausalClass:
     """Causal class of u, tolerance-scaled near the light cone."""
-    u = as_vector(u)
-    q = inner(u, u)
-    tol = null_tolerance(u)
-    if q < -tol:
-        orient = Orientation.POSITIVE if u[0] > 0 else Orientation.NEGATIVE
-        return CausalClass(Causality.TIMELIKE, orient)
-    if q > tol:
-        return CausalClass(Causality.SPACELIKE)
-    return CausalClass(Causality.LIGHTLIKE)
+    return CAUSAL_CLASSES[int(_causal_index(as_vector(u)))]
 
 
 def cross(u, v) -> np.ndarray:
@@ -126,14 +147,17 @@ def cross(u, v) -> np.ndarray:
     global sign. See coordinate_cross for the textbook componentwise rule,
     which differs in the middle component and fails orthogonality.
     """
-    u = as_vector(u)
-    v = as_vector(v)
-    return np.array(
+    return _cross(as_vector(u), as_vector(v))
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.stack(
         [
-            u[2] * v[1] - u[1] * v[2],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        ]
+            u[..., 2] * v[..., 1] - u[..., 1] * v[..., 2],
+            u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
+            u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0],
+        ],
+        axis=-1,
     )
 
 

@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surfaces import TrajectoryRuledSurface, drall_closed, surface_point
+from .involute import involute_point
+from .report import _fmt
+from .surfaces import TrajectoryRuledSurface, drall_closed, ruling_vector
 
 __all__ = ["SurfaceMesh", "export_mesh", "sample_grid", "write_csv", "write_obj"]
 
@@ -41,18 +43,11 @@ def sample_grid(
         raise ValueError("grid needs ns >= 2 and nv >= 2")
     svals = np.linspace(float(s_range[0]), float(s_range[1]), ns)
     vvals = np.linspace(float(v_range[0]), float(v_range[1]), nv)
-    vertices = np.empty((ns, nv, 3))
-    drall = np.empty(ns)
-    for i, s in enumerate(svals):
-        drall[i] = drall_closed(surf, float(s)).value
-        for j, v in enumerate(vvals):
-            vertices[i, j] = surface_point(surf, float(s), float(v))
+    gamma = involute_point(surf.inv, svals)
+    ruling = ruling_vector(surf, svals)
+    vertices = gamma[:, None, :] + vvals[None, :, None] * ruling[:, None, :]
+    drall = drall_closed(surf, svals).value
     return SurfaceMesh(s_values=svals, v_values=vvals, vertices=vertices, drall=drall)
-
-
-def _fmt(x: float) -> str:
-    # 9 significant digits; +0.0 normalizes negative zero
-    return f"{float(x) + 0.0:.9g}"
 
 
 def write_obj(mesh: SurfaceMesh, path: str) -> None:

@@ -11,10 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SceneConfig, build_curve, split_range
-from .curves import darboux_data, frenet_apparatus, is_general_helix
+from .curves import (
+    darboux_data,
+    frenet_apparatus,
+    is_general_helix,
+    orthonormality_residuals,
+)
 from .errors import CylindricalRulingError, GeometryError
 from .involute import InvoluteCurve
-from .lorentz import coordinate_cross, cross, inner
+from .lorentz import coordinate_cross, cross
 from .surfaces import (
     Degeneracy,
     classify_developability,
@@ -37,39 +42,31 @@ class ReportResult:
 
 
 def _fmt(x: float) -> str:
+    # 9 significant digits; +0.0 normalizes negative zero
     return f"{float(x) + 0.0:.9g}"
 
 
-def _sample_points(cfg: SceneConfig) -> list[float]:
-    segments = split_range(cfg.s_range, cfg.c_const, cfg.cusp_margin)
+def _sample_points(segments: list[tuple[float, float]], samples: int) -> list[list[float]]:
+    """Sample points of each segment, about samples in all."""
     total_len = sum(b - a for a, b in segments)
-    points: list[float] = []
-    for a, b in segments:
-        count = max(2, round(cfg.samples * (b - a) / total_len))
-        points.extend(float(s) for s in np.linspace(a, b, count))
-    return points
-
-
-def _frame_residuals(fa) -> tuple[float, float, float]:
-    pairs = [
-        (inner(fa.t, fa.t) + 1.0),
-        (inner(fa.n, fa.n) - 1.0),
-        (inner(fa.b, fa.b) - 1.0),
-        inner(fa.t, fa.n),
-        inner(fa.n, fa.b),
-        inner(fa.b, fa.t),
+    return [
+        [float(s) for s in np.linspace(a, b, max(2, round(samples * (b - a) / total_len)))]
+        for a, b in segments
     ]
-    ortho = max(abs(v) for v in pairs)
+
+
+def _frame_residuals(t, n, b) -> tuple[float, float, float]:
+    ortho = max(abs(v) for v in orthonormality_residuals(t, n, b).values())
     printed = [
-        (coordinate_cross(fa.t, fa.n), -fa.b),
-        (coordinate_cross(fa.n, fa.b), fa.t),
-        (coordinate_cross(fa.b, fa.t), -fa.n),
+        (coordinate_cross(t, n), -b),
+        (coordinate_cross(n, b), t),
+        (coordinate_cross(b, t), -n),
     ]
     coord = max(float(np.max(np.abs(got - want))) for got, want in printed)
     flipped = [
-        (cross(fa.t, fa.n), fa.b),
-        (cross(fa.n, fa.b), -fa.t),
-        (cross(fa.b, fa.t), fa.n),
+        (cross(t, n), b),
+        (cross(n, b), -t),
+        (cross(b, t), n),
     ]
     dual = max(float(np.max(np.abs(got - want))) for got, want in flipped)
     return ortho, coord, dual
@@ -86,8 +83,9 @@ def run_report(cfg: SceneConfig) -> ReportResult:
     warnings: list[str] = []
     lines: list[str] = []
     curve = build_curve(cfg)
-    samples = _sample_points(cfg)
     segments = split_range(cfg.s_range, cfg.c_const, cfg.cusp_margin)
+    seg_samples = _sample_points(segments, cfg.samples)
+    samples = [s for points in seg_samples for s in points]
 
     lines.append("= scene =")
     kind = cfg.curve.builtin if cfg.curve.builtin else "prescribed curvature/torsion"
@@ -110,23 +108,34 @@ def run_report(cfg: SceneConfig) -> ReportResult:
     lines.append("= base curve =")
     header = f"{'s':>14} {'kappa':>14} {'tau':>14} {'theta':>14} {'theta_dot':>14}"
     lines.append(header)
-    dd_first = None
-    for s in samples:
-        fa = frenet_apparatus(curve, s)
-        dd = darboux_data(curve, s)
-        if dd_first is None:
-            dd_first = dd
+    fa = frenet_apparatus(curve, samples)
+    dd = darboux_data(curve, samples)
+    runs: list[list] = []  # [causal class, first s, last s] per run of samples
+    for *row, cls in zip(samples, fa.kappa, fa.tau, dd.theta, dd.theta_dot, map(str, dd.d_class)):
+        lines.append(" ".join(f"{_fmt(x):>14}" for x in row))
+        if runs and runs[-1][0] == cls:
+            runs[-1][2] = row[0]
+        else:
+            runs.append([cls, row[0], row[0]])
+    if len(runs) == 1:
+        lines.append(f"rotation vector: {runs[0][0]}")
+    else:
         lines.append(
-            f"{_fmt(s):>14} {_fmt(fa.kappa):>14} {_fmt(fa.tau):>14} "
-            f"{_fmt(dd.theta):>14} {_fmt(dd.theta_dot):>14}"
+            "rotation vector: "
+            + ", ".join(f"{cls} on [{_fmt(a)}, {_fmt(b)}]" for cls, a, b in runs)
         )
-    lines.append(f"rotation vector: {dd_first.d_class}")
+        for (before, _, last), (after, first, _) in zip(runs, runs[1:]):
+            warnings.append(
+                f"rotation vector turns from {before} to {after} between "
+                f"s = {_fmt(last)} and s = {_fmt(first)}; theta and theta_dot "
+                "change branch there"
+            )
     helix, deviation = is_general_helix(curve, samples)
     lines.append(
         f"general helix: {'yes' if helix else 'no'} "
         f"(ratio deviation {_fmt(deviation)})"
     )
-    ortho, coord_res, dual_res = _frame_residuals(frenet_apparatus(curve, samples[0]))
+    ortho, coord_res, dual_res = _frame_residuals(fa.t[0], fa.n[0], fa.b[0])
     lines.append(f"frame orthonormality residual: {_fmt(ortho)}")
     lines.append(
         "frame product residuals: coordinate rule "
@@ -152,27 +161,26 @@ def run_report(cfg: SceneConfig) -> ReportResult:
             f"{'s':>14} {'drall closed':>14} {'drall numeric':>14} "
             f"{'degeneracy':>12} {'striction':>14}"
         )
-        for seg, surf in zip(segments, seg_surfaces):
-            seg_samples = [s for s in samples if seg[0] - 1e-12 <= s <= seg[1] + 1e-12]
-            for s in seg_samples:
-                closed = drall_closed(surf, s)
+        for surf, points in zip(seg_surfaces, seg_samples):
+            dralls = drall_closed(surf, points)
+            for s, value, degeneracy in zip(points, dralls.value, dralls.degeneracy):
                 try:
                     numeric = drall_numeric(surf, s)
                     numeric_txt = _fmt(numeric.value)
                     if (
-                        closed.degeneracy is Degeneracy.REGULAR
+                        degeneracy is Degeneracy.REGULAR
                         and numeric.degeneracy is Degeneracy.REGULAR
                     ):
-                        gap = abs(closed.value - numeric.value)
+                        gap = abs(value - numeric.value)
                         if gap > MISMATCH_TOL * max(1.0, abs(numeric.value)):
                             warnings.append(
                                 f"direction {d_idx}: closed/numeric drall disagree "
-                                f"at s = {_fmt(s)} ({_fmt(closed.value)} vs {_fmt(numeric.value)})"
+                                f"at s = {_fmt(s)} ({_fmt(value)} vs {_fmt(numeric.value)})"
                             )
                 except GeometryError as exc:
                     numeric_txt = "error"
                     warnings.append(f"direction {d_idx}: {exc}")
-                if closed.degeneracy is Degeneracy.SINGULAR:
+                if degeneracy is Degeneracy.SINGULAR:
                     warnings.append(
                         f"direction {d_idx}: singular drall denominator at s = {_fmt(s)}"
                     )
@@ -184,15 +192,12 @@ def run_report(cfg: SceneConfig) -> ReportResult:
                     strict = "error"
                     warnings.append(f"direction {d_idx}: {exc}")
                 lines.append(
-                    f"{_fmt(s):>14} {_fmt(closed.value):>14} {numeric_txt:>14} "
-                    f"{closed.degeneracy.value:>12} {strict:>14}"
+                    f"{_fmt(s):>14} {_fmt(value):>14} {numeric_txt:>14} "
+                    f"{degeneracy.value:>12} {strict:>14}"
                 )
         verdicts = [
-            classify_developability(
-                surf,
-                [s for s in samples if seg[0] - 1e-12 <= s <= seg[1] + 1e-12],
-            )
-            for seg, surf in zip(segments, seg_surfaces)
+            classify_developability(surf, points)
+            for surf, points in zip(seg_surfaces, seg_samples)
         ]
         developable = all(v.developable for v in verdicts)
         reason = verdicts[0].reason

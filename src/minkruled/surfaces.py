@@ -18,7 +18,16 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import numdiff
-from .curves import darboux_data, frenet_apparatus, is_general_helix
+from .curves import (
+    DerivativeMode,
+    _check,
+    _darboux,
+    _result,
+    _samples,
+    darboux_data,
+    frenet_apparatus,
+    is_general_helix,
+)
 from .errors import (
     CylindricalRulingError,
     DegenerateCoefficientError,
@@ -85,6 +94,8 @@ def make_direction(x1: float, x2: float, x3: float) -> RulingDirection:
     q = x1^2 - x2^2 + x3^2. Lightlike coefficient triples are rejected; any
     non-null triple (spacelike or timelike) is accepted.
     """
+    if not all(math.isfinite(x) for x in (x1, x2, x3)):
+        raise ValueError(f"ruling coefficients ({x1}, {x2}, {x3}) must be finite")
     q = x1 * x1 - x2 * x2 + x3 * x3
     scale = max(1.0, x1 * x1 + x2 * x2 + x3 * x3)
     if abs(q) <= DEGEN_TOL * scale:
@@ -126,19 +137,20 @@ def binormal_surface(inv: InvoluteCurve) -> TrajectoryRuledSurface:
     return general_surface(inv, 0.0, 0.0, 1.0)
 
 
-def ruling_vector(surf: TrajectoryRuledSurface, s: float) -> np.ndarray:
+def ruling_vector(surf: TrajectoryRuledSurface, s) -> np.ndarray:
     """X(s) = x1 t*(s) + x2 n*(s) + x3 b*(s) in ambient coordinates."""
     fr = involute_frame(surf.inv, s)
     d = surf.direction
     return d.x1 * fr.t_star + d.x2 * fr.n_star + d.x3 * fr.b_star
 
 
-def surface_point(surf: TrajectoryRuledSurface, s: float, v: float) -> np.ndarray:
-    """phi(s, v) = gamma(s) + v X(s)."""
+def surface_point(surf: TrajectoryRuledSurface, s, v) -> np.ndarray:
+    """phi(s, v) = gamma(s) + v X(s); v is a float or one value per s."""
+    v = np.asarray(v, dtype=float)[..., None]
     return involute_point(surf.inv, s) + v * ruling_vector(surf, s)
 
 
-def ruling_derivative(surf: TrajectoryRuledSurface, s: float) -> np.ndarray:
+def ruling_derivative(surf: TrajectoryRuledSurface, s) -> np.ndarray:
     """X'(s) in ambient coordinates, from the frame equations.
 
     Expanding X in the base frame and differentiating gives, for a spacelike
@@ -151,20 +163,16 @@ def ruling_derivative(surf: TrajectoryRuledSurface, s: float) -> np.ndarray:
     and the mirrored coefficients for a timelike one. The n-coefficient is
     -x2 ||d|| in both cases.
     """
-    fa = frenet_apparatus(surf.inv.base, s)
-    dd = darboux_data(surf.inv.base, s)
+    fa, spacelike, dd = _darboux(surf.inv.base, _samples(s))
     x1, x2, x3 = surf.direction.coefficients()
-    ch = math.cosh(dd.theta)
-    sh = math.sinh(dd.theta)
+    ch = np.cosh(dd.theta)
+    sh = np.sinh(dd.theta)
     td = dd.theta_dot
-    if dd.d_class.is_spacelike:
-        yt = x1 * fa.kappa - td * (x2 * sh + x3 * ch)
-        yb = -x1 * fa.tau + td * (x2 * ch + x3 * sh)
-    else:
-        yt = x1 * fa.kappa + td * (x2 * ch - x3 * sh)
-        yb = -x1 * fa.tau - td * (x2 * sh - x3 * ch)
+    yt = x1 * fa.kappa - td * np.where(spacelike, x2 * sh + x3 * ch, x3 * sh - x2 * ch)
+    yb = -x1 * fa.tau + td * np.where(spacelike, x2 * ch + x3 * sh, x3 * ch - x2 * sh)
     yn = -x2 * dd.d_norm
-    return yt * fa.t + yn * fa.n + yb * fa.b
+    xdot = yt[:, None] * fa.t + yn[:, None] * fa.n + yb[:, None] * fa.b
+    return _result(xdot, s)
 
 
 class Degeneracy(enum.Enum):
@@ -180,6 +188,8 @@ class DrallResult:
     value is numerator/|denominator| for regular rulings, 0 for cylindrical
     ones (vanishing ruling derivative, trivially developable) and signed
     infinity for singular ones (vanishing denominator, surviving numerator).
+    For an array of s every field is an (N,) array; degeneracy is then an
+    object array of Degeneracy.
     """
 
     value: float
@@ -189,28 +199,29 @@ class DrallResult:
     denominator: float
 
 
+_DEGENERACIES = np.array(list(Degeneracy), dtype=object)
+
+
 def _classify_drall(
-    num: float, den: float, num_scale: float, den_scale: float, tau_dev: float
+    num: np.ndarray,
+    den: np.ndarray,
+    num_scale: np.ndarray,
+    den_scale: np.ndarray,
+    tau_dev: float,
 ) -> DrallResult:
-    if abs(den) <= DEGEN_TOL * den_scale:
-        if abs(num) <= DEGEN_TOL * num_scale:
-            return DrallResult(0.0, Degeneracy.CYLINDRICAL, True, num, den)
-        return DrallResult(
-            math.copysign(math.inf, num), Degeneracy.SINGULAR, False, num, den
-        )
-    value = num / abs(den)
-    return DrallResult(value, Degeneracy.REGULAR, abs(value) <= tau_dev, num, den)
+    null_den = np.abs(den) <= DEGEN_TOL * den_scale
+    null_num = np.abs(num) <= DEGEN_TOL * num_scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        regular = num / np.abs(den)
+    value = np.where(
+        null_den, np.where(null_num, 0.0, np.copysign(np.inf, num)), regular
+    )
+    kind = np.where(null_den, np.where(null_num, 1, 2), 0)  # index into Degeneracy
+    developable = np.where(null_den, null_num, np.abs(value) <= tau_dev)
+    return DrallResult(value, _DEGENERACIES[kind], developable, num, den)
 
 
-def _tau_dev_for(surf: TrajectoryRuledSurface) -> float:
-    from .curves import DerivativeMode
-
-    if surf.inv.base.derivative_mode is DerivativeMode.ANALYTIC:
-        return TAU_DEV
-    return TAU_DEV_FD
-
-
-def drall_closed(surf: TrajectoryRuledSurface, s: float) -> DrallResult:
+def drall_closed(surf: TrajectoryRuledSurface, s) -> DrallResult:
     """Distribution parameter from the closed form in frame invariants.
 
     For a spacelike rotation vector,
@@ -224,32 +235,26 @@ def drall_closed(surf: TrajectoryRuledSurface, s: float) -> DrallResult:
     drall_numeric), as the axis-direction specializations confirm. For a
     timelike rotation vector the mirrored expansion yields the negated
     numerator over |(x1^2 + x2^2) ||d||^2 - (x2^2 - x3^2) theta'^2
-    - 2 x1 x3 theta' ||d|||.
+    - 2 x1 x3 theta' ||d|||. The case is chosen per sample.
     """
-    fa = frenet_apparatus(surf.inv.base, s)
-    dd = darboux_data(surf.inv.base, s)
+    s_arr = _samples(s)
+    fa, spacelike, dd = _darboux(surf.inv.base, s_arr)
+    kappa = fa.kappa
     x1, x2, x3 = surf.direction.coefficients()
-    cs = surf.inv.c_const - s
+    sign = np.where(spacelike, 1.0, -1.0)
+    cs = surf.inv.c_const - s_arr
     dn = dd.d_norm
     td = dd.theta_dot
     bracket = x1 * x3 * dn - td * (x3 * x3 - x2 * x2)
-    if dd.d_class.is_spacelike:
-        num = cs * fa.kappa * bracket
-        den = (
-            (x2 * x2 - x1 * x1) * dn * dn
-            + (x2 * x2 - x3 * x3) * td * td
-            + 2.0 * x1 * x3 * td * dn
-        )
-    else:
-        num = -cs * fa.kappa * bracket
-        den = (
-            (x1 * x1 + x2 * x2) * dn * dn
-            - (x2 * x2 - x3 * x3) * td * td
-            - 2.0 * x1 * x3 * td * dn
-        )
-    num_scale = max(1.0, abs(cs) * fa.kappa * (dn + abs(td)))
-    den_scale = max(1.0, dn * dn + td * td)
-    return _classify_drall(num, den, num_scale, den_scale, _tau_dev_for(surf))
+    num = sign * cs * kappa * bracket
+    den = np.where(spacelike, x2 * x2 - x1 * x1, x1 * x1 + x2 * x2) * dn * dn + sign * (
+        (x2 * x2 - x3 * x3) * td * td + 2.0 * x1 * x3 * td * dn
+    )
+    num_scale = np.maximum(1.0, np.abs(cs) * kappa * (dn + np.abs(td)))
+    den_scale = np.maximum(1.0, dn * dn + td * td)
+    analytic = surf.inv.base.derivative_mode is DerivativeMode.ANALYTIC
+    tau_dev = TAU_DEV if analytic else TAU_DEV_FD
+    return _result(_classify_drall(num, den, num_scale, den_scale, tau_dev), s)
 
 
 def drall_numeric(surf: TrajectoryRuledSurface, s: float) -> DrallResult:
@@ -280,7 +285,8 @@ def drall_numeric(surf: TrajectoryRuledSurface, s: float) -> DrallResult:
         * max(1.0, math.sqrt(xdot_sq)),
     )
     den_scale = max(1.0, xdot_sq)
-    return _classify_drall(num, den, num_scale, den_scale, TAU_DEV_FD)
+    result = _classify_drall(*np.atleast_1d(num, den, num_scale, den_scale), TAU_DEV_FD)
+    return _result(result, s)
 
 
 def normal_binormal_drall_ratio(inv: InvoluteCurve, s: float) -> float:
@@ -300,17 +306,6 @@ class DevelopabilityReport:
     max_normal_angle: float
 
 
-def _surface_normal(surf: TrajectoryRuledSurface, s: float, v: float) -> np.ndarray | None:
-    # Euclidean normal of the tangent plane span{phi_s, phi_v}; the span is
-    # metric-independent, so this is a valid constancy probe along rulings.
-    phi_s = involute_velocity(surf.inv, s) + v * ruling_derivative(surf, s)
-    n = np.cross(phi_s, ruling_vector(surf, s))
-    length = float(np.linalg.norm(n))
-    if length < 1e-12:
-        return None
-    return n / length
-
-
 def classify_developability(
     surf: TrajectoryRuledSurface, samples: Sequence[float]
 ) -> DevelopabilityReport:
@@ -321,28 +316,30 @@ def classify_developability(
     geometrically: the tangent-plane normal at ruling parameters 0.1 and 1.0
     must be parallel within 1e-3 radians.
     """
-    counts = {deg: 0 for deg in Degeneracy}
-    max_abs = 0.0
-    bad = 0
-    max_angle = 0.0
-    for s in samples:
-        res = drall_closed(surf, float(s))
-        counts[res.degeneracy] += 1
-        if res.degeneracy is Degeneracy.REGULAR:
-            max_abs = max(max_abs, abs(res.value))
-        if not res.developable:
-            bad += 1
-            continue
-        n1 = _surface_normal(surf, float(s), 0.1)
-        n2 = _surface_normal(surf, float(s), 1.0)
-        if n1 is None or n2 is None:
-            continue
-        angle = math.acos(min(1.0, abs(float(n1 @ n2))))
-        max_angle = max(max_angle, angle)
-        if angle > 1e-3:
-            raise GeometryError(
-                f"drall flags s = {s} developable but ruling normals tilt by {angle}"
-            )
+    s_arr = _samples(samples)
+    res = drall_closed(surf, s_arr)
+    counts = {deg: int(np.count_nonzero(res.degeneracy == deg)) for deg in Degeneracy}
+    regular = res.degeneracy == Degeneracy.REGULAR
+    max_abs = float(np.max(np.abs(res.value[regular]), initial=0.0))
+    bad = int(np.count_nonzero(~res.developable))
+    # Euclidean normals of the tangent plane span{phi_s, phi_v}; the span is
+    # metric-independent, so this is a valid constancy probe along rulings.
+    s_dev = s_arr[res.developable]
+    gdot = involute_velocity(surf.inv, s_dev)
+    xdot = ruling_derivative(surf, s_dev)
+    x_here = ruling_vector(surf, s_dev)
+    n1 = np.cross(gdot + 0.1 * xdot, x_here)
+    n2 = np.cross(gdot + 1.0 * xdot, x_here)
+    len1 = np.linalg.norm(n1, axis=-1)
+    len2 = np.linalg.norm(n2, axis=-1)
+    probed = (len1 >= 1e-12) & (len2 >= 1e-12)
+    n1 = n1[probed] / len1[probed, None]
+    n2 = n2[probed] / len2[probed, None]
+    angles = np.arccos(np.minimum(1.0, np.abs(np.sum(n1 * n2, axis=-1))))
+    max_angle = float(np.max(angles, initial=0.0))
+    _check(angles > 1e-3, GeometryError, lambda i: (
+        f"drall flags s = {s_dev[probed][i]} developable but ruling normals tilt by {angles[i]}"
+    ))
     developable = bad == 0
     x1, x2, x3 = surf.direction.coefficients()
     if not developable:

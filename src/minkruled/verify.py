@@ -9,10 +9,11 @@ form against the finite-difference determinant at the stated tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
+from .config import polynomial
 from .curves import Curve, curve_from_curvature
 from .involute import InvoluteCurve
 from .surfaces import (
@@ -35,6 +36,10 @@ __all__ = [
 ]
 
 REL_TOL = 1e-4
+# Rejection-sampling cap of build_case1_curve and build_case2_curve. On the
+# default domain about 99 % of draws are accepted, so the cap is only met on
+# domains the prescriptions cannot satisfy.
+MAX_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -65,67 +70,57 @@ def random_direction(rng: np.random.Generator, min_square: float = 0.2) -> Rulin
             return make_direction(float(x[0]), float(x[1]), float(x[2]))
 
 
-def _poly(coeffs: Sequence[float]) -> Callable[[float], float]:
-    cs = list(coeffs)
-
-    def f(s: float) -> float:
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * s + c
-        return acc
-
-    return f
-
-
 def build_case1_curve(
     rng: np.random.Generator, domain: tuple[float, float] = (-0.05, 2.05)
 ) -> RandomCurve:
-    """Synthesized curve with |kappa| > |tau|: kappa quadratic, ratio linear."""
-    k0 = rng.uniform(0.7, 1.6)
-    k1 = rng.uniform(-0.12, 0.12)
-    k2 = rng.uniform(-0.05, 0.05)
-    r0 = rng.uniform(-0.55, 0.55)
-    r1 = rng.uniform(-0.12, 0.12)
-    kappa = _poly([k0, k1, k2])
-    ratio = _poly([r0, r1])
-
-    def tau(s: float) -> float:
-        return ratio(s) * kappa(s)
-
-    # keep the ratio clear of +-1 over the domain so the rotation vector
-    # stays spacelike
+    """Synthesized curve with |kappa| > |tau|: kappa quadratic, ratio linear.
+    RuntimeError after MAX_DRAWS rejected draws."""
     grid = np.linspace(domain[0], domain[1], 33)
-    if max(abs(ratio(float(s))) for s in grid) > 0.85:
-        return build_case1_curve(rng, domain)
-    if min(kappa(float(s)) for s in grid) < 0.3:
-        return build_case1_curve(rng, domain)
-    return RandomCurve(curve_from_curvature(kappa, tau, domain=domain), kappa, tau)
+    for _ in range(MAX_DRAWS):
+        k0 = rng.uniform(0.7, 1.6)
+        k1 = rng.uniform(-0.12, 0.12)
+        k2 = rng.uniform(-0.05, 0.05)
+        r0 = rng.uniform(-0.55, 0.55)
+        r1 = rng.uniform(-0.12, 0.12)
+        kappa = polynomial([k0, k1, k2])
+        ratio = polynomial([r0, r1])
+        # keep the ratio clear of +-1 so the rotation vector stays spacelike
+        if np.max(np.abs(ratio(grid))) <= 0.85 and np.min(kappa(grid)) >= 0.3:
+
+            def tau(s: float) -> float:
+                return ratio(s) * kappa(s)
+
+            return RandomCurve(curve_from_curvature(kappa, tau, domain=domain), kappa, tau)
+    raise RuntimeError(f"no case-1 curve on {domain} within {MAX_DRAWS} draws")
 
 
 def build_case2_curve(
     rng: np.random.Generator, domain: tuple[float, float] = (-0.05, 2.05)
 ) -> RandomCurve:
-    """Synthesized curve with |tau| > |kappa| > 0 (timelike rotation vector)."""
-    t0 = rng.uniform(0.8, 1.6)
-    t1 = rng.uniform(-0.12, 0.12)
-    rho0 = rng.uniform(0.2, 0.7)
-    rho1 = rng.uniform(-0.08, 0.08)
-    tau = _poly([t0, t1])
-    rho = _poly([rho0, rho1])
-
-    def kappa(s: float) -> float:
-        return rho(s) * tau(s)
-
+    """Synthesized curve with |tau| > |kappa| > 0 (timelike rotation vector).
+    RuntimeError after MAX_DRAWS rejected draws."""
     grid = np.linspace(domain[0], domain[1], 33)
-    if max(abs(rho(float(s))) for s in grid) > 0.85:
-        return build_case2_curve(rng, domain)
-    if min(rho(float(s)) for s in grid) < 0.1 or min(tau(float(s)) for s in grid) < 0.4:
-        return build_case2_curve(rng, domain)
-    return RandomCurve(curve_from_curvature(kappa, tau, domain=domain), kappa, tau)
+    for _ in range(MAX_DRAWS):
+        t0 = rng.uniform(0.8, 1.6)
+        t1 = rng.uniform(-0.12, 0.12)
+        rho0 = rng.uniform(0.2, 0.7)
+        rho1 = rng.uniform(-0.08, 0.08)
+        tau = polynomial([t0, t1])
+        rho = polynomial([rho0, rho1])
+        if (
+            np.max(np.abs(rho(grid))) <= 0.85
+            and np.min(rho(grid)) >= 0.1
+            and np.min(tau(grid)) >= 0.4
+        ):
+
+            def kappa(s: float) -> float:
+                return rho(s) * tau(s)
+
+            return RandomCurve(curve_from_curvature(kappa, tau, domain=domain), kappa, tau)
+    raise RuntimeError(f"no case-2 curve on {domain} within {MAX_DRAWS} draws")
 
 
-def _trial(surf: TrajectoryRuledSurface, s: float) -> OracleTrial:
-    closed = drall_closed(surf, s)
+def _trial(surf: TrajectoryRuledSurface, s: float, closed: DrallResult) -> OracleTrial:
     numeric = drall_numeric(surf, s)
     if (
         closed.degeneracy is Degeneracy.REGULAR
@@ -176,5 +171,5 @@ def run_trials(
             scale = max(1.0, abs(closed.denominator) + abs(closed.numerator))
             if abs(closed.denominator) < min_denominator * scale:
                 continue
-        out.append(_trial(surf, s))
+        out.append(_trial(surf, s, closed))
     return out

@@ -204,6 +204,30 @@ class TestReport:
         res = mk.run_report(mk.load_config(path))
         assert "developable: no" in res.text
 
+    def test_causal_class_change_reported_per_run(self, tmp_path):
+        # tau = 0.5 + s crosses kappa = 1 at s = 0.5, between two samples
+        path = helix_config(
+            tmp_path,
+            curve={"kappa": {"poly": [1.0]}, "tau": {"poly": [0.5, 1.0]}},
+            c=3.0,
+            s_range=[0.0, 1.0],
+            directions=[[0, 1, 0]],
+            samples=8,
+        )
+        res = mk.run_report(mk.load_config(path))
+        assert res.exit_code == 3
+        assert (
+            "rotation vector: spacelike on [0, 0.428571429], "
+            "timelike (positive) on [0.571428571, 1]\n"
+        ) in res.text
+        assert res.warnings == (
+            "rotation vector turns from spacelike to timelike (positive) between "
+            "s = 0.428571429 and s = 0.571428571; theta and theta_dot change "
+            "branch there",
+        )
+        rows = [ln.split() for ln in res.text.split("= direction 0")[1].splitlines()[3:11]]
+        assert all(len(row) == 5 for row in rows)
+
 
 class TestCli:
     def test_report_command(self, tmp_path, capsys):
