@@ -366,11 +366,17 @@ def curve_from_curvature(
     integration accuracy.
 
     initial_frame may be a FrenetApparatus, a (t, n, b) triple, or None for
-    the canonical frame; initial_point defaults to the origin.
+    the canonical frame; initial_point defaults to the origin. A non-finite
+    domain end or a step that is not finite and positive raises ValueError.
     """
     lo, hi = float(domain[0]), float(domain[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"domain must be finite, got {domain}")
     if lo >= hi:
         raise ValueError("domain must satisfy s_min < s_max")
+    step = float(step)
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step}")
     t0, n0, b0 = _coerce_frame(initial_frame)
     _validate_initial_frame(t0, n0, b0)
     p0 = np.zeros(3) if initial_point is None else as_vector(initial_point)

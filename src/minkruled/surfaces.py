@@ -71,6 +71,7 @@ TAU_DEV = 1e-6
 TAU_DEV_FD = 1e-4
 TAU_STRICT = 1e-4
 DEGEN_TOL = 1e-9
+THETA_CELL = 0.002  # cell width of the cumulative table in theta_profile
 
 
 @dataclass(frozen=True)
@@ -263,18 +264,20 @@ def drall_numeric(surf: TrajectoryRuledSurface, s: float) -> DrallResult:
     delta = det(gamma', X, X') / |<X', X'>| with X' obtained by five-point
     central differencing of the frame-built ruling, independent of the
     closed form above. gamma' is evaluated analytically and cross-checked
-    against finite differences of the involute position.
+    against finite differences of the involute position. Each stencil is
+    evaluated in one array call on its four points.
     """
     inv = surf.inv
     gdot = involute_velocity(inv, s)
-    gdot_fd = numdiff.derivative(lambda u: involute_point(inv, u), s, order=1)
+    s_stencil = np.array([s], dtype=float)
+    gdot_fd = numdiff.first_derivative(lambda u: involute_point(inv, u), s_stencil)[0]
     drift = float(np.max(np.abs(gdot - gdot_fd)))
     if drift > 1e-4 * max(1.0, float(np.max(np.abs(gdot)))):
         raise GeometryError(
             f"involute velocity cross-check failed at s = {s} (drift {drift})"
         )
     x_here = ruling_vector(surf, s)
-    xdot = numdiff.derivative(lambda u: ruling_vector(surf, u), s, order=1)
+    xdot = numdiff.first_derivative(lambda u: ruling_vector(surf, u), s_stencil)[0]
     num = triple(gdot, x_here, xdot)
     den = inner(xdot, xdot)
     xdot_sq = float(xdot @ xdot)
@@ -376,9 +379,22 @@ def theta_profile(
 
     Returns theta(s) = coeff * integral_0^s dnorm_fn(u) du + lam with
     coeff = x1 x3 / (x3^2 - x2^2) in general and x1/x3 on the rectifying
-    plane (x2 = 0), by composite Simpson quadrature. Feeding the resulting
-    torsion tau = kappa tanh(theta) into curve_from_curvature produces a
-    curve whose X-ruled trajectory surface has vanishing drall.
+    plane (x2 = 0). Feeding the resulting torsion tau = kappa tanh(theta)
+    into curve_from_curvature produces a curve whose X-ruled trajectory
+    surface has vanishing drall.
+
+    The closure keeps a cumulative table of the integral at the nodes
+    +-k THETA_CELL, one table for each sign of s, and extends it on demand
+    one cell at a time. A call adds the table entry of the last node before
+    s to a 4-panel Simpson rule over the part-cell from that node to s, so
+    it costs five dnorm_fn calls plus those of any new cells, and the result
+    is exact for cubic dnorm_fn. Each cell is computed from its two nodes
+    alone and cells are appended in order, so the values do not depend on
+    the order of the calls. Non-finite s raises ValueError.
+
+    Limits: the tables grow as O(|s| / THETA_CELL) entries and live as long
+    as the closure; the closure is not safe for concurrent first use from
+    several threads (two threads may extend a table at once).
     """
     x1, x2, x3 = direction.coefficients()
     if kind is ProfileKind.RECTIFYING:
@@ -395,20 +411,29 @@ def theta_profile(
             )
         coeff = x1 * x3 / gap
 
+    def simpson(a: float, b: float) -> float:
+        h = 0.25 * (b - a)
+        f = dnorm_fn
+        return h / 3.0 * (
+            f(a) + 4.0 * f(a + h) + 2.0 * f(a + 2.0 * h) + 4.0 * f(a + 3.0 * h) + f(b)
+        )
+
+    positive = [0.0]  # integral_0^{k THETA_CELL} dnorm_fn
+    negative = [0.0]  # integral_0^{-k THETA_CELL} dnorm_fn
+
     def theta(s: float) -> float:
-        return coeff * _simpson(dnorm_fn, 0.0, float(s)) + lam
+        s = float(s)
+        if not math.isfinite(s):
+            raise ValueError(f"theta profile needs a finite s, got {s}")
+        sign, table = (-1.0, negative) if s < 0.0 else (1.0, positive)
+        k = int(abs(s) / THETA_CELL)
+        while len(table) <= k:
+            j = len(table) - 1
+            cell = simpson(sign * j * THETA_CELL, sign * (j + 1) * THETA_CELL)
+            table.append(table[j] + cell)
+        return float(coeff * (table[k] + simpson(sign * k * THETA_CELL, s)) + lam)
 
     return theta
-
-
-def _simpson(f: Callable[[float], float], a: float, b: float) -> float:
-    if b == a:
-        return 0.0
-    n = max(4, 2 * math.ceil(abs(b - a) / 0.002))
-    grid = np.linspace(a, b, n + 1)
-    vals = np.array([f(float(u)) for u in grid])
-    h = (b - a) / n
-    return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-2:2].sum()))
 
 
 def developable_prescription(
@@ -461,8 +486,9 @@ def striction_point(surf: TrajectoryRuledSurface, s: float) -> StrictionPoint:
         raise CylindricalRulingError(
             f"striction undefined at s = {s}: ruling derivative is numerically null"
         )
-    gdot_fd = numdiff.derivative(lambda u: involute_point(inv, u), s, order=1)
-    xdot_fd = numdiff.derivative(lambda u: ruling_vector(surf, u), s, order=1)
+    s_stencil = np.array([s], dtype=float)
+    gdot_fd = numdiff.first_derivative(lambda u: involute_point(inv, u), s_stencil)[0]
+    xdot_fd = numdiff.first_derivative(lambda u: ruling_vector(surf, u), s_stencil)[0]
     offset = -inner(gdot_fd, xdot_fd) / inner(xdot_fd, xdot_fd)
     cs = inv.c_const - s
     offset_closed = surf.direction.x2 * cs * fa.kappa * dd.d_norm / xx

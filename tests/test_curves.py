@@ -270,6 +270,24 @@ class TestCurveSynthesis:
                 lambda s: 1e-12, lambda s: 0.0, domain=(0.0, 1.0)
             )
 
+    # a plain ValueError naming the argument, raised before any integration
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"step": 0.0}, "step"),
+            ({"step": math.nan}, "step"),
+            ({"step": -1.0}, "step"),
+            ({"domain": (math.nan, 1.0)}, "domain"),
+            ({"domain": (0.0, math.inf)}, "domain"),
+        ],
+        ids=["step-zero", "step-nan", "step-negative", "domain-nan", "domain-inf"],
+    )
+    def test_rejects_bad_step_and_domain(self, kwargs, name):
+        kwargs = {"domain": (0.0, 1.0), **kwargs}
+        with pytest.raises(ValueError, match=name) as info:
+            mk.curve_from_curvature(lambda s: 1.0, lambda s: 0.0, **kwargs)
+        assert type(info.value) is ValueError
+
 
 class TestHelixConstructor:
     @pytest.mark.parametrize(

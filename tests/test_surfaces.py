@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import minkruled as mk
-from minkruled import Causality, Degeneracy, ProfileKind, numdiff
+from minkruled import Causality, Degeneracy, ProfileKind, numdiff, surfaces
+from minkruled.curves import ODE_STEP
 from conftest import POOL_C, POOL_WINDOW
 
 RT3 = math.sqrt(3.0)
@@ -117,6 +119,27 @@ class TestDrall:
         inv = mk.InvoluteCurve(mirror, 2.5, domain=(0.1, 1.9))
         surf = mk.normal_surface(inv)
         assert abs(mk.drall_numeric(surf, 1.0).value) <= 1e-6
+
+    def test_oracle_stencils_are_one_array_call_each(self, ramp_involute, monkeypatch):
+        calls = {"ruling_vector": 0, "involute_point": 0}
+
+        def counted(name):
+            fn = getattr(surfaces, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(surfaces, name, counted(name))
+        surf = mk.normal_surface(ramp_involute)
+        mk.drall_numeric(surf, 0.5)
+        assert calls["ruling_vector"] <= 2 and calls["involute_point"] <= 1
+        calls.update(ruling_vector=0, involute_point=0)
+        mk.striction_point(surf, 0.5)
+        assert calls["ruling_vector"] <= 2 and calls["involute_point"] <= 2
 
     def test_closed_matches_numeric_generic(self, ramp_involute):
         surf = mk.general_surface(ramp_involute, 1.0, 0.0, 1.0)
@@ -258,6 +281,35 @@ class TestRatioIdentity:
         assert min(ramp_ratios) > bound
 
 
+def oscillating_dnorm(s):
+    return 0.5 + 0.1 * s + 0.2 * math.sin(3.0 * s)
+
+
+def oscillating_antiderivative(s):
+    """integral_0^s oscillating_dnorm."""
+    return 0.5 * s + 0.05 * s * s + (0.2 / 3.0) * (1.0 - math.cos(3.0 * s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    s=st.one_of(
+        st.sampled_from([0.0, 0.002, -0.002, 0.004, -0.004]),
+        st.floats(-2.0, 2.0),
+    ),
+    kind=st.sampled_from([ProfileKind.GENERAL, ProfileKind.RECTIFYING]),
+    lam=st.floats(-0.3, 0.3),
+)
+def test_theta_profile_matches_closed_form_antiderivative(s, kind, lam):
+    # the oracle integrates dnorm in closed form; it shares no quadrature
+    # and no table with theta_profile
+    x1, x2, x3 = (0.7, 0.3, 1.0) if kind is ProfileKind.GENERAL else (0.6, 0.0, 0.8)
+    d = mk.make_direction(x1, x2, x3)
+    theta = mk.theta_profile(kind, d, oscillating_dnorm, lam)
+    coeff = d.x1 * d.x3 / (d.x3**2 - d.x2**2)
+    want = coeff * oscillating_antiderivative(s) + lam
+    assert abs(theta(s) - want) <= 1e-12
+
+
 class TestThetaProfile:
     def test_zero_coefficient_gives_constant(self):
         d = mk.make_direction(0.0, 0.4, 1.2)  # x1 = 0 so the slope vanishes
@@ -284,6 +336,56 @@ class TestThetaProfile:
                 lambda s: 1.0,
                 0.0,
             )
+
+    def test_values_do_not_depend_on_call_order(self):
+        d = mk.make_direction(0.7, 0.3, 1.0)
+        grid = [-1.3, -0.004, -0.002, -1e-3, 0.0, 1e-3, 0.002, 0.004, 0.37, 1.9]
+        warmed = mk.theta_profile(ProfileKind.GENERAL, d, oscillating_dnorm, 0.2)
+        backward = [warmed(s) for s in reversed(grid)][::-1]
+        for s, value in zip(grid, backward):
+            fresh = mk.theta_profile(ProfileKind.GENERAL, d, oscillating_dnorm, 0.2)
+            assert fresh(s) == value
+
+    def test_evaluation_count_is_linear(self):
+        calls = 0
+
+        def dnorm(s):
+            nonlocal calls
+            calls += 1
+            return oscillating_dnorm(s)
+
+        theta = mk.theta_profile(
+            ProfileKind.GENERAL, mk.make_direction(0.7, 0.3, 1.0), dnorm, 0.0
+        )
+        for s in np.linspace(0.0, 1.0, 1000):
+            theta(float(s))
+        # a bounded number per call plus a bounded number per 0.002 cell
+        assert calls <= 6000 + 5 * 500
+
+    def test_rejects_non_finite_s(self):
+        theta = mk.theta_profile(
+            ProfileKind.GENERAL, mk.make_direction(0.7, 0.3, 1.0), lambda s: 1.0, 0.0
+        )
+        for s in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                theta(s)
+
+    def test_synthesis_makes_bounded_dnorm_calls_per_step(self):
+        # guard against a return of the O(N^2) re-quadrature from 0, which
+        # made thousands of dnorm calls per step on this domain
+        calls = 0
+
+        def dnorm(s):
+            nonlocal calls
+            calls += 1
+            return 0.5 + 0.1 * s
+
+        domain = (-0.05, 1.55)
+        d = mk.make_direction(0.7, 0.3, 1.0)
+        kf, tf = mk.developable_prescription(d, dnorm, 0.15)
+        mk.curve_from_curvature(kf, tf, domain=domain)
+        steps = math.ceil((domain[1] - domain[0]) / ODE_STEP)
+        assert calls < 100 * steps
 
     def test_general_construction_is_developable(self):
         d = mk.make_direction(0.7, 0.3, 1.0)
