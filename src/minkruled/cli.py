@@ -107,6 +107,16 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="minkruled",
@@ -129,7 +139,7 @@ def main(argv=None) -> int:
         "verify", help="randomized closed-form vs determinant drall cross-check"
     )
     p_verify.add_argument("config", help="path to a JSON scene file")
-    p_verify.add_argument("--trials", type=int, default=50)
+    p_verify.add_argument("--trials", type=_positive_int, default=50)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 

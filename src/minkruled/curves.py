@@ -78,14 +78,17 @@ def _samples(s) -> np.ndarray:
 def _result(value, s):
     """Undo _samples for a float s: (1,) -> float, (1, 3) -> (3,), and the
     same field by field for a dataclass. For an array s, value is returned."""
-    if np.ndim(s) > 0:
-        return value
+    return value if np.ndim(s) > 0 else _item(value, 0)
+
+
+def _item(value, i: int):
+    """Sample i of an array result, typed as for a float s."""
     if dataclasses.is_dataclass(value):
         return dataclasses.replace(
             value,
-            **{f.name: _result(getattr(value, f.name), s) for f in dataclasses.fields(value)},
+            **{f.name: _item(getattr(value, f.name), i) for f in dataclasses.fields(value)},
         )
-    item = value[0]
+    item = value[i]
     return item.item() if isinstance(item, np.generic) else item
 
 
@@ -387,9 +390,7 @@ def curve_from_curvature(
     table = np.empty((nsteps + 1, 4, 3))
     kappas = np.empty(nsteps + 1)
 
-    def rhs(y: np.ndarray, s: float) -> np.ndarray:
-        k = kappa_fn(s)
-        tau = tau_fn(s)
+    def rhs(y: np.ndarray, k: float, tau: float) -> np.ndarray:
         out = np.empty((4, 3))
         out[0] = y[1]
         out[1] = k * y[2]
@@ -409,10 +410,15 @@ def curve_from_curvature(
         table[i] = state
         if i == nsteps:
             break
-        k1 = rhs(state, s)
-        k2 = rhs(state + 0.5 * h * k1, s + 0.5 * h)
-        k3 = rhs(state + 0.5 * h * k2, s + 0.5 * h)
-        k4 = rhs(state + h * k3, s + h)
+        # k1 reuses the node's kappa and k2, k3 share the midpoint pair. k4's
+        # pair is not reused at the next node: s + h and svals[i + 1] can
+        # differ in the last bit.
+        mid = s + 0.5 * h
+        k_mid, tau_mid = kappa_fn(mid), tau_fn(mid)
+        k1 = rhs(state, k_here, tau_fn(s))
+        k2 = rhs(state + 0.5 * h * k1, k_mid, tau_mid)
+        k3 = rhs(state + 0.5 * h * k2, k_mid, tau_mid)
+        k4 = rhs(state + h * k3, kappa_fn(s + h), tau_fn(s + h))
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(state)):
             raise IntegrationError(f"non-finite state near s = {s + h}")

@@ -72,8 +72,11 @@ def involute_point(inv: InvoluteCurve, s) -> np.ndarray:
 
 def involute_velocity(inv: InvoluteCurve, s) -> np.ndarray:
     """gamma'(s) = (c - s) kappa(s) n(s), per sample of s; zero at the cusp s = c."""
-    fa = frenet_apparatus(inv.base, s)
-    return ((inv.c_const - np.asarray(s, dtype=float)) * fa.kappa)[..., None] * fa.n
+    return _velocity(inv, np.asarray(s, dtype=float), frenet_apparatus(inv.base, s))
+
+
+def _velocity(inv: InvoluteCurve, s: np.ndarray, fa) -> np.ndarray:
+    return ((inv.c_const - s) * fa.kappa)[..., None] * fa.n
 
 
 @dataclass(frozen=True)
@@ -102,9 +105,16 @@ def involute_frame(inv: InvoluteCurve, s) -> InvoluteFrame:
     The case is chosen per sample.
     """
     fa, _, causal, _, theta = _rotation(inv.base, _samples(s))
+    return _result(
+        _frame(fa, causal == SPACELIKE_INDEX, theta, CAUSAL_CLASSES[causal]), s
+    )
+
+
+def _frame(fa, spacelike: np.ndarray, theta: np.ndarray, d_case: np.ndarray) -> InvoluteFrame:
+    """Involute frame from the base frame and rotation data at an array of s."""
     ch = np.cosh(theta)[:, None]
     sh = np.sinh(theta)[:, None]
-    spacelike = (causal == SPACELIKE_INDEX)[:, None]
+    spacelike = spacelike[:, None]
     n_star = np.where(spacelike, -ch * fa.t + sh * fa.b, sh * fa.t - ch * fa.b)
     b_star = np.where(spacelike, -sh * fa.t + ch * fa.b, -ch * fa.t + sh * fa.b)
-    return _result(InvoluteFrame(fa.n, n_star, b_star, CAUSAL_CLASSES[causal]), s)
+    return InvoluteFrame(fa.n, n_star, b_star, d_case)

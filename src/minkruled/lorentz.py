@@ -183,13 +183,14 @@ def coordinate_cross(u, v) -> np.ndarray:
 
 def triple(u, v, w) -> float:
     """Plain 3x3 coordinate determinant with rows (u, v, w)."""
-    u = as_vector(u)
-    v = as_vector(v)
-    w = as_vector(w)
-    return float(
-        u[0] * (v[1] * w[2] - v[2] * w[1])
-        - u[1] * (v[0] * w[2] - v[2] * w[0])
-        + u[2] * (v[0] * w[1] - v[1] * w[0])
+    return float(_triple(as_vector(u), as_vector(v), as_vector(w)))
+
+
+def _triple(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return (
+        u[..., 0] * (v[..., 1] * w[..., 2] - v[..., 2] * w[..., 1])
+        - u[..., 1] * (v[..., 0] * w[..., 2] - v[..., 2] * w[..., 0])
+        + u[..., 2] * (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0])
     )
 
 

@@ -42,5 +42,14 @@ def first_derivative(f, s: np.ndarray, h: float = H_FIRST) -> np.ndarray:
     return _first_order(*np.split(values, 4), h)
 
 
+def value_and_first_derivative(f, s: np.ndarray, h: float = H_FIRST):
+    """(f(s), f'(s)) at every entry of the 1-D array s, with the stencil of
+    derivative(); f takes an array and is called once on the 5N points s,
+    s - 2h, s - h, s + h, s + 2h (in that order, N at a time)."""
+    values = f(np.concatenate([s, s - 2 * h, s - h, s + h, s + 2 * h]))
+    here, *stencil = np.split(values, 5)
+    return here, _first_order(*stencil, h)
+
+
 def _first_order(fm2, fm1, fp1, fp2, h: float):
     return (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)

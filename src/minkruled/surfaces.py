@@ -25,7 +25,6 @@ from .curves import (
     _result,
     _samples,
     darboux_data,
-    frenet_apparatus,
     is_general_helix,
 )
 from .errors import (
@@ -34,8 +33,16 @@ from .errors import (
     GeometryError,
     NullDirectionError,
 )
-from .involute import InvoluteCurve, involute_frame, involute_point, involute_velocity
-from .lorentz import CausalClass, Causality, Orientation, inner, triple
+from .involute import (
+    InvoluteCurve,
+    InvoluteFrame,
+    _frame,
+    _velocity,
+    involute_frame,
+    involute_point,
+    involute_velocity,
+)
+from .lorentz import CausalClass, Causality, Orientation, _inner, _triple
 
 __all__ = [
     "DEGEN_TOL",
@@ -138,11 +145,19 @@ def binormal_surface(inv: InvoluteCurve) -> TrajectoryRuledSurface:
     return general_surface(inv, 0.0, 0.0, 1.0)
 
 
+def _coefficients(surf: TrajectoryRuledSurface) -> np.ndarray:
+    return np.array(surf.direction.coefficients())
+
+
+def _ruling(coeffs: np.ndarray, fr: InvoluteFrame) -> np.ndarray:
+    """x1 t* + x2 n* + x3 b* for coefficients of shape (3,) or one row per sample."""
+    x1, x2, x3 = coeffs[..., 0, None], coeffs[..., 1, None], coeffs[..., 2, None]
+    return x1 * fr.t_star + x2 * fr.n_star + x3 * fr.b_star
+
+
 def ruling_vector(surf: TrajectoryRuledSurface, s) -> np.ndarray:
     """X(s) = x1 t*(s) + x2 n*(s) + x3 b*(s) in ambient coordinates."""
-    fr = involute_frame(surf.inv, s)
-    d = surf.direction
-    return d.x1 * fr.t_star + d.x2 * fr.n_star + d.x3 * fr.b_star
+    return _ruling(_coefficients(surf), involute_frame(surf.inv, s))
 
 
 def surface_point(surf: TrajectoryRuledSurface, s, v) -> np.ndarray:
@@ -164,16 +179,20 @@ def ruling_derivative(surf: TrajectoryRuledSurface, s) -> np.ndarray:
     and the mirrored coefficients for a timelike one. The n-coefficient is
     -x2 ||d|| in both cases.
     """
-    fa, spacelike, dd = _darboux(surf.inv.base, _samples(s))
-    x1, x2, x3 = surf.direction.coefficients()
+    s_arr = _samples(s)
+    return _result(_ruling_derivative(_coefficients(surf), *_darboux(surf.inv.base, s_arr)), s)
+
+
+def _ruling_derivative(coeffs: np.ndarray, fa, spacelike: np.ndarray, dd) -> np.ndarray:
+    """X' from the rotation data; coefficients of shape (3,) or (N, 3)."""
+    x1, x2, x3 = coeffs.T
     ch = np.cosh(dd.theta)
     sh = np.sinh(dd.theta)
     td = dd.theta_dot
     yt = x1 * fa.kappa - td * np.where(spacelike, x2 * sh + x3 * ch, x3 * sh - x2 * ch)
     yb = -x1 * fa.tau + td * np.where(spacelike, x2 * ch + x3 * sh, x3 * ch - x2 * sh)
     yn = -x2 * dd.d_norm
-    xdot = yt[:, None] * fa.t + yn[:, None] * fa.n + yb[:, None] * fa.b
-    return _result(xdot, s)
+    return yt[:, None] * fa.t + yn[:, None] * fa.n + yb[:, None] * fa.b
 
 
 class Degeneracy(enum.Enum):
@@ -239,11 +258,19 @@ def drall_closed(surf: TrajectoryRuledSurface, s) -> DrallResult:
     - 2 x1 x3 theta' ||d|||. The case is chosen per sample.
     """
     s_arr = _samples(s)
-    fa, spacelike, dd = _darboux(surf.inv.base, s_arr)
+    closed = _drall_closed(surf.inv, _coefficients(surf), s_arr, *_darboux(surf.inv.base, s_arr))
+    return _result(closed, s)
+
+
+def _drall_closed(
+    inv: InvoluteCurve, coeffs: np.ndarray, s: np.ndarray, fa, spacelike: np.ndarray, dd
+) -> DrallResult:
+    """Closed-form drall at the 1-D array s from its rotation data (_darboux);
+    coefficients of shape (3,) or one row per sample."""
     kappa = fa.kappa
-    x1, x2, x3 = surf.direction.coefficients()
+    x1, x2, x3 = coeffs.T
     sign = np.where(spacelike, 1.0, -1.0)
-    cs = surf.inv.c_const - s_arr
+    cs = inv.c_const - s
     dn = dd.d_norm
     td = dd.theta_dot
     bracket = x1 * x3 * dn - td * (x3 * x3 - x2 * x2)
@@ -253,43 +280,52 @@ def drall_closed(surf: TrajectoryRuledSurface, s) -> DrallResult:
     )
     num_scale = np.maximum(1.0, np.abs(cs) * kappa * (dn + np.abs(td)))
     den_scale = np.maximum(1.0, dn * dn + td * td)
-    analytic = surf.inv.base.derivative_mode is DerivativeMode.ANALYTIC
+    analytic = inv.base.derivative_mode is DerivativeMode.ANALYTIC
     tau_dev = TAU_DEV if analytic else TAU_DEV_FD
-    return _result(_classify_drall(num, den, num_scale, den_scale, tau_dev), s)
+    return _classify_drall(num, den, num_scale, den_scale, tau_dev)
 
 
-def drall_numeric(surf: TrajectoryRuledSurface, s: float) -> DrallResult:
-    """Distribution parameter by the determinant rule.
+def drall_numeric(surf: TrajectoryRuledSurface, s) -> DrallResult:
+    """Distribution parameter by the determinant rule, at a float s or a 1-D
+    array of s.
 
     delta = det(gamma', X, X') / |<X', X'>| with X' obtained by five-point
     central differencing of the frame-built ruling, independent of the
-    closed form above. gamma' is evaluated analytically and cross-checked
-    against finite differences of the involute position. Each stencil is
-    evaluated in one array call on its four points.
+    closed form above (no theta' enters). gamma' is evaluated analytically
+    and cross-checked per sample against finite differences of the involute
+    position; a failed check raises GeometryError naming the first bad s.
+    For N samples the kernel makes one involute_velocity call on N points,
+    one involute_point call on the 4N stencil points and one involute_frame
+    call on the 5N points s plus stencil, from which both X and X' come.
     """
-    inv = surf.inv
+    return _result(_drall_numeric(surf.inv, _coefficients(surf), _samples(s)), s)
+
+
+def _drall_numeric(inv: InvoluteCurve, coeffs: np.ndarray, s: np.ndarray) -> DrallResult:
+    """Determinant drall at the 1-D array s; coefficients of shape (3,) or
+    one row per sample."""
     gdot = involute_velocity(inv, s)
-    s_stencil = np.array([s], dtype=float)
-    gdot_fd = numdiff.first_derivative(lambda u: involute_point(inv, u), s_stencil)[0]
-    drift = float(np.max(np.abs(gdot - gdot_fd)))
-    if drift > 1e-4 * max(1.0, float(np.max(np.abs(gdot)))):
-        raise GeometryError(
-            f"involute velocity cross-check failed at s = {s} (drift {drift})"
-        )
-    x_here = ruling_vector(surf, s)
-    xdot = numdiff.first_derivative(lambda u: ruling_vector(surf, u), s_stencil)[0]
-    num = triple(gdot, x_here, xdot)
-    den = inner(xdot, xdot)
-    xdot_sq = float(xdot @ xdot)
-    num_scale = max(
-        1.0,
-        float(np.linalg.norm(gdot))
-        * float(np.linalg.norm(x_here))
-        * max(1.0, math.sqrt(xdot_sq)),
+    gdot_fd = numdiff.first_derivative(lambda u: involute_point(inv, u), s)
+    drift = np.max(np.abs(gdot - gdot_fd), axis=-1)
+    bound = 1e-4 * np.maximum(1.0, np.max(np.abs(gdot), axis=-1))
+    _check(drift > bound, GeometryError, lambda i: (
+        f"involute velocity cross-check failed at s = {s[i]} (drift {drift[i]})"
+    ))
+    rows = np.tile(np.broadcast_to(coeffs, (s.size, 3)), (5, 1))
+    x_here, xdot = numdiff.value_and_first_derivative(
+        lambda u: _ruling(rows, involute_frame(inv, u)), s
     )
-    den_scale = max(1.0, xdot_sq)
-    result = _classify_drall(*np.atleast_1d(num, den, num_scale, den_scale), TAU_DEV_FD)
-    return _result(result, s)
+    num = _triple(gdot, x_here, xdot)
+    den = _inner(xdot, xdot)
+    xdot_sq = np.sum(xdot * xdot, axis=-1)
+    num_scale = np.maximum(
+        1.0,
+        np.linalg.norm(gdot, axis=-1)
+        * np.linalg.norm(x_here, axis=-1)
+        * np.maximum(1.0, np.sqrt(xdot_sq)),
+    )
+    den_scale = np.maximum(1.0, xdot_sq)
+    return _classify_drall(num, den, num_scale, den_scale, TAU_DEV_FD)
 
 
 def normal_binormal_drall_ratio(inv: InvoluteCurve, s: float) -> float:
@@ -320,17 +356,21 @@ def classify_developability(
     must be parallel within 1e-3 radians.
     """
     s_arr = _samples(samples)
-    res = drall_closed(surf, s_arr)
+    inv = surf.inv
+    coeffs = _coefficients(surf)
+    fa, spacelike, dd = _darboux(inv.base, s_arr)
+    res = _drall_closed(inv, coeffs, s_arr, fa, spacelike, dd)
     counts = {deg: int(np.count_nonzero(res.degeneracy == deg)) for deg in Degeneracy}
     regular = res.degeneracy == Degeneracy.REGULAR
     max_abs = float(np.max(np.abs(res.value[regular]), initial=0.0))
     bad = int(np.count_nonzero(~res.developable))
     # Euclidean normals of the tangent plane span{phi_s, phi_v}; the span is
     # metric-independent, so this is a valid constancy probe along rulings.
-    s_dev = s_arr[res.developable]
-    gdot = involute_velocity(surf.inv, s_dev)
-    xdot = ruling_derivative(surf, s_dev)
-    x_here = ruling_vector(surf, s_dev)
+    dev = res.developable
+    s_dev = s_arr[dev]
+    gdot = _velocity(inv, s_arr, fa)[dev]
+    xdot = _ruling_derivative(coeffs, fa, spacelike, dd)[dev]
+    x_here = _ruling(coeffs, _frame(fa, spacelike, dd.theta, dd.d_class))[dev]
     n1 = np.cross(gdot + 0.1 * xdot, x_here)
     n2 = np.cross(gdot + 1.0 * xdot, x_here)
     len1 = np.linalg.norm(n1, axis=-1)
@@ -467,7 +507,7 @@ class StrictionPoint:
     finite differences; offset_closed is the same quantity from the frame
     invariants, x2 (c - s) kappa ||d|| / <X', X'>. The signed denominator
     keeps the central-point property <C', X'> = 0 even for rulings whose
-    derivative is timelike.
+    derivative is timelike. For an array of s the fields are stacked.
     """
 
     point: np.ndarray
@@ -475,30 +515,38 @@ class StrictionPoint:
     offset_closed: float
 
 
-def striction_point(surf: TrajectoryRuledSurface, s: float) -> StrictionPoint:
-    """Central point on the ruling at s; undefined for cylindrical rulings."""
+def striction_point(surf: TrajectoryRuledSurface, s) -> StrictionPoint:
+    """Central point on the ruling at s (a float or a 1-D array); undefined
+    for cylindrical rulings. An error names the first bad sample.
+
+    The rotation data are evaluated once: the closed X' and offset_closed
+    come from them. The involute position and X at s come from the same
+    array calls as their finite-difference stencils.
+    """
     inv = surf.inv
-    fa = frenet_apparatus(inv.base, s)
-    dd = darboux_data(inv.base, s)
-    xdot_closed = ruling_derivative(surf, s)
-    xx = inner(xdot_closed, xdot_closed)
-    if abs(xx) <= DEGEN_TOL * max(1.0, dd.d_norm ** 2 + dd.theta_dot ** 2):
-        raise CylindricalRulingError(
-            f"striction undefined at s = {s}: ruling derivative is numerically null"
-        )
-    s_stencil = np.array([s], dtype=float)
-    gdot_fd = numdiff.first_derivative(lambda u: involute_point(inv, u), s_stencil)[0]
-    xdot_fd = numdiff.first_derivative(lambda u: ruling_vector(surf, u), s_stencil)[0]
-    offset = -inner(gdot_fd, xdot_fd) / inner(xdot_fd, xdot_fd)
-    cs = inv.c_const - s
-    offset_closed = surf.direction.x2 * cs * fa.kappa * dd.d_norm / xx
-    if abs(offset - offset_closed) > TAU_STRICT * max(1.0, abs(offset)):
-        raise GeometryError(
-            f"striction offsets disagree at s = {s}: "
-            f"numeric {offset} vs closed {offset_closed}"
-        )
-    point = involute_point(inv, s) + offset * ruling_vector(surf, s)
-    return StrictionPoint(point=point, offset=offset, offset_closed=offset_closed)
+    s_arr = _samples(s)
+    coeffs = _coefficients(surf)
+    fa, spacelike, dd = _darboux(inv.base, s_arr)
+    xdot_closed = _ruling_derivative(coeffs, fa, spacelike, dd)
+    xx = _inner(xdot_closed, xdot_closed)
+    null = np.abs(xx) <= DEGEN_TOL * np.maximum(1.0, dd.d_norm ** 2 + dd.theta_dot ** 2)
+    _check(null, CylindricalRulingError, lambda i: (
+        f"striction undefined at s = {s_arr[i]}: ruling derivative is numerically null"
+    ))
+    gamma, gdot_fd = numdiff.value_and_first_derivative(lambda u: involute_point(inv, u), s_arr)
+    x_here, xdot_fd = numdiff.value_and_first_derivative(
+        lambda u: _ruling(coeffs, involute_frame(inv, u)), s_arr
+    )
+    offset = -_inner(gdot_fd, xdot_fd) / _inner(xdot_fd, xdot_fd)
+    cs = inv.c_const - s_arr
+    offset_closed = coeffs[1] * cs * fa.kappa * dd.d_norm / xx
+    disagree = np.abs(offset - offset_closed) > TAU_STRICT * np.maximum(1.0, np.abs(offset))
+    _check(disagree, GeometryError, lambda i: (
+        f"striction offsets disagree at s = {s_arr[i]}: "
+        f"numeric {offset[i]} vs closed {offset_closed[i]}"
+    ))
+    point = gamma + offset[:, None] * x_here
+    return _result(StrictionPoint(point=point, offset=offset, offset_closed=offset_closed), s)
 
 
 def base_is_striction(surf: TrajectoryRuledSurface, samples: Sequence[float]) -> bool:

@@ -14,15 +14,14 @@ from typing import Callable
 import numpy as np
 
 from .config import polynomial
-from .curves import Curve, curve_from_curvature
+from .curves import Curve, _darboux, _item, curve_from_curvature
 from .involute import InvoluteCurve
 from .surfaces import (
     Degeneracy,
     DrallResult,
     RulingDirection,
-    TrajectoryRuledSurface,
-    drall_closed,
-    drall_numeric,
+    _drall_closed,
+    _drall_numeric,
     make_direction,
 )
 
@@ -40,6 +39,9 @@ REL_TOL = 1e-4
 # default domain about 99 % of draws are accepted, so the cap is only met on
 # domains the prescriptions cannot satisfy.
 MAX_DRAWS = 1000
+# Largest round of run_trials: keeps the memory of one round bounded (a few
+# kB per candidate) whatever the trial count.
+MAX_ROUND = 1000
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,9 @@ def build_case2_curve(
     raise RuntimeError(f"no case-2 curve on {domain} within {MAX_DRAWS} draws")
 
 
-def _trial(surf: TrajectoryRuledSurface, s: float, closed: DrallResult) -> OracleTrial:
-    numeric = drall_numeric(surf, s)
+def _trial(
+    s: float, direction: RulingDirection, closed: DrallResult, numeric: DrallResult
+) -> OracleTrial:
     if (
         closed.degeneracy is Degeneracy.REGULAR
         and numeric.degeneracy is Degeneracy.REGULAR
@@ -136,7 +139,7 @@ def _trial(surf: TrajectoryRuledSurface, s: float, closed: DrallResult) -> Oracl
         rel = abs(regular.value)
         agree = rel <= REL_TOL
     return OracleTrial(
-        s=s, direction=surf.direction, closed=closed, numeric=numeric,
+        s=s, direction=direction, closed=closed, numeric=numeric,
         rel_err=rel, agree=agree,
     )
 
@@ -154,22 +157,37 @@ def run_trials(
     Directions and samples whose closed-form denominator sits too close to
     zero (relative to its natural scale) are resampled: near the singular
     set the distribution parameter itself diverges and relative comparison
-    is meaningless.
+    is meaningless. RuntimeError after 50 * trials draws; trials must be at
+    least 1.
+
+    The trials run in rounds. A round draws as many candidates as trials are
+    still missing, at most MAX_ROUND, in the order of one draw at a time (a
+    direction, then s, per candidate). It evaluates the closed drall on all
+    of them in one call and the determinant drall on the accepted ones in
+    another. The trials are the ones a loop over single draws would give,
+    in the same order.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     inv = InvoluteCurve(curve, c_const, domain=s_window)
     out: list[OracleTrial] = []
     attempts = 0
     while len(out) < trials:
-        attempts += 1
-        if attempts > 50 * trials:
+        size = min(trials - len(out), 50 * trials - attempts, MAX_ROUND)
+        if size == 0:
             raise RuntimeError("could not find enough well-conditioned trials")
-        direction = random_direction(rng)
-        s = float(rng.uniform(s_window[0], s_window[1]))
-        surf = TrajectoryRuledSurface(inv=inv, direction=direction)
-        closed = drall_closed(surf, s)
-        if closed.degeneracy is Degeneracy.REGULAR:
-            scale = max(1.0, abs(closed.denominator) + abs(closed.numerator))
-            if abs(closed.denominator) < min_denominator * scale:
-                continue
-        out.append(_trial(surf, s, closed))
+        attempts += size
+        directions, s_list = [], []
+        for _ in range(size):
+            directions.append(random_direction(rng))
+            s_list.append(float(rng.uniform(s_window[0], s_window[1])))
+        coeffs = np.array([d.coefficients() for d in directions])
+        s = np.array(s_list)
+        closed = _drall_closed(inv, coeffs, s, *_darboux(curve, s))
+        scale = np.maximum(1.0, np.abs(closed.denominator) + np.abs(closed.numerator))
+        ill = np.abs(closed.denominator) < min_denominator * scale
+        kept = np.flatnonzero((closed.degeneracy != Degeneracy.REGULAR) | ~ill)
+        numeric = _drall_numeric(inv, coeffs[kept], s[kept])
+        for j, i in enumerate(kept.tolist()):
+            out.append(_trial(s_list[i], directions[i], _item(closed, i), _item(numeric, j)))
     return out

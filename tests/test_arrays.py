@@ -1,9 +1,9 @@
 """One call on an array of s equals the stacked scalar calls.
 
-Covers the frame kernel on both helix causal cases and on a synthesized
-curve whose rotation vector turns from spacelike to timelike at s = 0.5
-(kappa = 1, tau = 0.5 + s), where the causal branch must be chosen per
-sample.
+Covers the frame kernel and the determinant and striction oracles on both
+helix causal cases and on a synthesized curve whose rotation vector turns
+from spacelike to timelike at s = 0.5 (kappa = 1, tau = 0.5 + s), where the
+causal branch must be chosen per sample.
 """
 
 import dataclasses
@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minkruled as mk
+from minkruled import surfaces
+from minkruled.curves import _darboux
 from minkruled.lorentz import CausalClass
 
 TOL = 1e-12
@@ -132,3 +134,53 @@ def test_non_finite_inputs_rejected_at_the_boundary(cases):
         mk.make_direction(math.nan, 0.0, 1.0)
     with pytest.raises(ValueError):
         mk.InvoluteCurve(cases["spacelike-helix"][0], math.inf)
+
+
+def oracle_calls(curve):
+    inv = mk.InvoluteCurve(curve, 4.0, domain=(curve.domain[0], curve.domain[1]))
+    surf = mk.general_surface(inv, 0.8, 0.25, 0.7)
+    return {
+        "drall_numeric": lambda s: mk.drall_numeric(surf, s),
+        "striction_point": lambda s: mk.striction_point(surf, s),
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("case", ["spacelike-helix", "timelike-helix", "crossing"])
+def test_oracles_array_matches_scalar_calls(cases, case, data):
+    curve, fixed = cases[case]
+    s_strategy = crossing_s if case == "crossing" else helix_s
+    s_list = fixed + data.draw(st.lists(s_strategy, min_size=1, max_size=4))
+    s_arr = np.array(s_list)
+    for name, call in oracle_calls(curve).items():
+        assert_stacked(name, call(s_arr), [call(float(s)) for s in s_list])
+
+
+directions = st.tuples(*[st.floats(-1.5, 1.5)] * 3).filter(
+    lambda x: abs(x[0] * x[0] - x[1] * x[1] + x[2] * x[2]) >= 0.2
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("case", ["spacelike-helix", "timelike-helix", "crossing"])
+def test_per_row_coefficient_kernels_match_per_surface_calls(cases, case, data):
+    curve, _ = cases[case]
+    s_strategy = crossing_s if case == "crossing" else helix_s
+    rows = data.draw(st.lists(st.tuples(directions, s_strategy), min_size=1, max_size=5))
+    inv = mk.InvoluteCurve(curve, 4.0, domain=(curve.domain[0], curve.domain[1]))
+    dirs = [mk.make_direction(*x) for x, _ in rows]
+    coeffs = np.array([d.coefficients() for d in dirs])
+    s_arr = np.array([s for _, s in rows])
+    surfs = [mk.TrajectoryRuledSurface(inv=inv, direction=d) for d in dirs]
+    assert_stacked(
+        "drall_closed",
+        surfaces._drall_closed(inv, coeffs, s_arr, *_darboux(curve, s_arr)),
+        [mk.drall_closed(surf, s) for surf, s in zip(surfs, s_arr.tolist())],
+    )
+    assert_stacked(
+        "drall_numeric",
+        surfaces._drall_numeric(inv, coeffs, s_arr),
+        [mk.drall_numeric(surf, s) for surf, s in zip(surfs, s_arr.tolist())],
+    )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import minkruled as mk
-from minkruled import Causality, numdiff
+from minkruled import Causality, curves, numdiff
 
 RT3 = math.sqrt(3.0)
 
@@ -223,6 +223,24 @@ class TestCurveSynthesis:
             fa = mk.frenet_apparatus(c, float(s))
             assert fa.kappa == pytest.approx(2 / 3, abs=1e-6)
             assert fa.tau == pytest.approx(1 / 3, abs=1e-6)
+
+    def test_three_kappa_and_three_tau_calls_per_step(self):
+        calls = {"kappa": 0, "tau": 0}
+
+        def kappa(s):
+            calls["kappa"] += 1
+            return 1.0 + 0.1 * s
+
+        def tau(s):
+            calls["tau"] += 1
+            return 0.3 * s
+
+        domain = (0.0, 0.5)
+        mk.curve_from_curvature(kappa, tau, domain=domain)
+        steps = math.ceil((domain[1] - domain[0]) / curves.ODE_STEP)
+        # node, midpoint and end of each step; the last node is checked too
+        assert calls["kappa"] <= 3 * steps + 1
+        assert calls["tau"] <= 3 * steps
 
     def test_planar_prescription(self):
         c = mk.curve_from_curvature(lambda s: 1.0, lambda s: 0.0, domain=(0.0, 1.0))
