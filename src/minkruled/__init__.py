@@ -24,7 +24,6 @@ from .curves import (
     FrenetApparatus,
     curve_from_curvature,
     darboux_data,
-    derivatives,
     frenet_apparatus,
     helix_curve,
     is_general_helix,

@@ -61,7 +61,10 @@ def _cmd_mesh(args) -> int:
                 )
             for out in cfg.outputs:
                 path = _segment_path(out.path, d_idx, seg_idx)
-                export_mesh(mesh, out.fmt, path)
+                try:
+                    export_mesh(mesh, out.fmt, path)
+                except OSError as exc:
+                    raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
                 print(
                     f"wrote {path}: {mesh.vertex_count} vertices, "
                     f"{mesh.face_count} faces"
@@ -77,7 +80,7 @@ def _cmd_verify(args) -> int:
         try:
             seed = int(env_seed)
         except ValueError:
-            print(f"error: MINKRULED_SEED must be an integer, got {env_seed!r}")
+            print(f"error: MINKRULED_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
             return 2
     curve = build_curve(cfg)
     segments = split_range(cfg.s_range, cfg.c_const, cfg.cusp_margin)

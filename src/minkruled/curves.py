@@ -53,7 +53,6 @@ __all__ = [
     "TAU_SPEED",
     "curve_from_curvature",
     "darboux_data",
-    "derivatives",
     "frenet_apparatus",
     "helix_curve",
     "is_general_helix",
@@ -81,8 +80,9 @@ def _result(value, s):
     return value if np.ndim(s) > 0 else _item(value, 0)
 
 
-def _item(value, i: int):
-    """Sample i of an array result, typed as for a float s."""
+def _item(value, i):
+    """Sample i of an array result, typed as for a float s; for a slice i,
+    the rows of i of every field."""
     if dataclasses.is_dataclass(value):
         return dataclasses.replace(
             value,
@@ -96,6 +96,26 @@ def _check(bad: np.ndarray, error: type[Exception], message: Callable[[int], str
     """Raise error(message(i)) for the first sample i that is bad."""
     if bad.any():
         raise error(message(int(np.argmax(bad))))
+
+
+def _status(*checks) -> np.ndarray:
+    """Per-sample status: an object array holding, for each sample, the
+    error of the first of the (bad mask, error, message) checks it fails,
+    or None."""
+    status = np.full(len(checks[0][0]), None, dtype=object)
+    for bad, error, message in reversed(checks):  # earlier checks overwrite
+        for i in np.flatnonzero(bad).tolist():
+            status[i] = error(message(i))
+    return status
+
+
+def _raise_first(value, status: np.ndarray):
+    """value, once no sample of the _status array failed; otherwise raise
+    the error of the first failed sample."""
+    for error in status:
+        if error is not None:
+            raise error
+    return value
 
 
 def _require_unit_speed(d1: np.ndarray, s: np.ndarray) -> None:
@@ -200,13 +220,6 @@ def _stack(fn: Callable[[float], np.ndarray], s: np.ndarray) -> np.ndarray:
     return out
 
 
-def derivatives(curve: Curve, s, order: int) -> list[np.ndarray]:
-    """Derivatives r', .., r^(order)(s) as a list (order in 1..3)."""
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2 or 3")
-    return [curve.derivative(s, k) for k in range(1, order + 1)]
-
-
 @dataclass(frozen=True)
 class FrenetApparatus:
     """Moving frame of a timelike curve: t timelike, n and b spacelike.
@@ -243,7 +256,7 @@ def frenet_apparatus(curve: Curve, s) -> FrenetApparatus:
     +1; tau is read off the third derivative as -<r''', b>/kappa.
     """
     s_arr = _samples(s)
-    d1, d2, d3 = derivatives(curve, s_arr, 3)
+    d1, d2, d3 = (curve.derivative(s_arr, k) for k in (1, 2, 3))
     _require_unit_speed(d1, s_arr)
     kappa = np.sqrt(np.maximum(_inner(d2, d2), 0.0))
     _check(kappa < KAPPA_MIN, DegenerateFrameError, lambda i: (
@@ -293,18 +306,35 @@ def _rotation(curve: Curve, s: np.ndarray):
     return fa, d, causal, d_norm, theta
 
 
-def _darboux(curve: Curve, s: np.ndarray):
-    """(frame, spacelike mask, DarbouxData) at an array of s."""
-    fa, d, causal, d_norm, theta = _rotation(curve, s)
-    theta_dot = numdiff.first_derivative(lambda u: _rotation(curve, u)[4], s)
+@dataclass(frozen=True)
+class _Evaluation:
+    """One _rotation call on the 5N points numdiff.stencil(s) of a 1-D array
+    s: the frame, spacelike mask and DarbouxData at s, and the raw rotation
+    data on all 5N points, from which the oracles take their stencils."""
+
+    s: np.ndarray
+    fa: FrenetApparatus
+    spacelike: np.ndarray
+    dd: DarbouxData
+    points: np.ndarray
+    rotation: tuple
+
+
+def _darboux(curve: Curve, s: np.ndarray) -> _Evaluation:
+    """The evaluation every quantity at the 1-D array s reads; theta_dot
+    comes from the stencil rows of theta."""
+    points = numdiff.stencil(s)
+    rotation = _rotation(curve, points)
+    fa, d, causal, d_norm, _ = (_item(x, slice(s.size)) for x in rotation)
+    theta, theta_dot = numdiff.split(rotation[4])
     dd = DarbouxData(d, CAUSAL_CLASSES[causal], d_norm, theta, theta_dot, d / d_norm[:, None])
-    return fa, causal == SPACELIKE_INDEX, dd
+    return _Evaluation(s, fa, causal == SPACELIKE_INDEX, dd, points, rotation)
 
 
 def darboux_data(curve: Curve, s) -> DarbouxData:
     """Rotation vector data at s (a float or a 1-D array), including the
     angle rate theta_dot."""
-    return _result(_darboux(curve, _samples(s))[2], s)
+    return _result(_darboux(curve, _samples(s)).dd, s)
 
 
 def is_general_helix(curve: Curve, samples: Sequence[float]) -> tuple[bool, float]:
@@ -313,7 +343,11 @@ def is_general_helix(curve: Curve, samples: Sequence[float]) -> tuple[bool, floa
     The deviation is the largest distance of the ratio from its median; the
     verdict is positive when it stays within TAU_HELIX.
     """
-    fa = frenet_apparatus(curve, _samples(samples))
+    return _general_helix(frenet_apparatus(curve, _samples(samples)))
+
+
+def _general_helix(fa: FrenetApparatus) -> tuple[bool, float]:
+    """is_general_helix from the frame at the samples."""
     ratios = fa.tau / fa.kappa
     deviation = float(np.max(np.abs(ratios - np.median(ratios))))
     return deviation <= TAU_HELIX, deviation
@@ -478,56 +512,31 @@ def helix_curve(
     gap = kappa * kappa - tau * tau
     if abs(gap) <= NULL_GAP * max(1.0, kappa * kappa + tau * tau):
         raise NullDarbouxError("|kappa| = |tau| has a lightlike rotation vector")
-    if gap > 0.0:
-        w = math.sqrt(gap)
-        beta = kappa / (w * w)
-        alpha = tau / w
+    w = math.sqrt(abs(gap))
+    beta = kappa / (w * w)
+    scales = (beta, beta * w, beta * w * w, beta * w ** 3)
+    timelike = gap < 0.0
+    # The sign of the time slope fixes the sign of the recovered torsion
+    # under the determinant +1 frame orientation.
+    alpha = -tau / w if timelike else tau / w
 
-        def pos(s: float) -> np.ndarray:
-            return np.array(
-                [beta * math.sinh(w * s), beta * math.cosh(w * s), alpha * s]
-            )
+    def jet(k: int) -> Callable[[float], np.ndarray]:
+        # r^(k): scales[k] times the profile pair at u = w s turned k times,
+        # (sinh, cosh) by swaps and (cos, sin) by quarter-turns (p, q) -> (-q, p),
+        # with the linear part's own derivative. The turns are sign flips,
+        # which are exact, and are taken once per order rather than per call.
+        f, g = (math.cos, math.sin) if timelike else (math.sinh, math.cosh)
+        a = b = scales[k]  # the signed scales of f and g
+        for _ in range(k):
+            f, g, a, b = (g, f, -b, a) if timelike else (g, f, b, a)
+        slope = alpha if k == 1 else 0.0
 
-        def d1(s: float) -> np.ndarray:
-            return np.array(
-                [beta * w * math.cosh(w * s), beta * w * math.sinh(w * s), alpha]
-            )
+        def r(s: float) -> np.ndarray:
+            u = w * s
+            line = alpha * s if k == 0 else slope
+            p, q = a * f(u), b * g(u)
+            return np.array([line, p, q] if timelike else [p, q, line])
 
-        def d2(s: float) -> np.ndarray:
-            return np.array(
-                [beta * w * w * math.sinh(w * s), beta * w * w * math.cosh(w * s), 0.0]
-            )
+        return r
 
-        def d3(s: float) -> np.ndarray:
-            return np.array(
-                [beta * w ** 3 * math.cosh(w * s), beta * w ** 3 * math.sinh(w * s), 0.0]
-            )
-
-    else:
-        w = math.sqrt(-gap)
-        beta = kappa / (w * w)
-        # The sign of the time slope fixes the sign of the recovered torsion
-        # under the determinant +1 frame orientation.
-        alpha = -tau / w
-
-        def pos(s: float) -> np.ndarray:
-            return np.array(
-                [alpha * s, beta * math.cos(w * s), beta * math.sin(w * s)]
-            )
-
-        def d1(s: float) -> np.ndarray:
-            return np.array(
-                [alpha, -beta * w * math.sin(w * s), beta * w * math.cos(w * s)]
-            )
-
-        def d2(s: float) -> np.ndarray:
-            return np.array(
-                [0.0, -beta * w * w * math.cos(w * s), -beta * w * w * math.sin(w * s)]
-            )
-
-        def d3(s: float) -> np.ndarray:
-            return np.array(
-                [0.0, beta * w ** 3 * math.sin(w * s), -beta * w ** 3 * math.cos(w * s)]
-            )
-
-    return Curve(position=pos, derivatives=(d1, d2, d3), domain=domain)
+    return Curve(position=jet(0), derivatives=(jet(1), jet(2), jet(3)), domain=domain)

@@ -104,17 +104,15 @@ def involute_frame(inv: InvoluteCurve, s) -> InvoluteFrame:
     n* = sinh(theta) t - cosh(theta) b, b* = -cosh(theta) t + sinh(theta) b.
     The case is chosen per sample.
     """
-    fa, _, causal, _, theta = _rotation(inv.base, _samples(s))
-    return _result(
-        _frame(fa, causal == SPACELIKE_INDEX, theta, CAUSAL_CLASSES[causal]), s
-    )
+    return _result(_frame(_rotation(inv.base, _samples(s))), s)
 
 
-def _frame(fa, spacelike: np.ndarray, theta: np.ndarray, d_case: np.ndarray) -> InvoluteFrame:
-    """Involute frame from the base frame and rotation data at an array of s."""
+def _frame(rotation) -> InvoluteFrame:
+    """Involute frame from the rotation data of curves._rotation."""
+    fa, _, causal, _, theta = rotation
     ch = np.cosh(theta)[:, None]
     sh = np.sinh(theta)[:, None]
-    spacelike = spacelike[:, None]
+    spacelike = (causal == SPACELIKE_INDEX)[:, None]
     n_star = np.where(spacelike, -ch * fa.t + sh * fa.b, sh * fa.t - ch * fa.b)
     b_star = np.where(spacelike, -sh * fa.t + ch * fa.b, -ch * fa.t + sh * fa.b)
-    return InvoluteFrame(fa.n, n_star, b_star, d_case)
+    return InvoluteFrame(fa.n, n_star, b_star, CAUSAL_CLASSES[causal])

@@ -8,21 +8,16 @@ H_FIRST = 1e-4
 H_THIRD = 1e-3
 
 
-def step_for(order: int) -> float:
-    return H_THIRD if order == 3 else H_FIRST
-
-
 def stencil_halfwidth(order: int) -> float:
     """Distance the stencil reaches on either side of the expansion point."""
-    return 2.0 * step_for(order)
+    return 2.0 * (H_THIRD if order == 3 else H_FIRST)
 
 
-def derivative(f, s: float, order: int = 1, h: float | None = None):
+def derivative(f, s: float, order: int = 1):
     """order-th derivative of f at s (orders 1..3, five-point stencils)."""
     if order not in (1, 2, 3):
         raise ValueError("derivative order must be 1, 2 or 3")
-    if h is None:
-        h = step_for(order)
+    h = H_THIRD if order == 3 else H_FIRST
     fm2 = f(s - 2 * h)
     fm1 = f(s - h)
     fp1 = f(s + h)
@@ -35,20 +30,17 @@ def derivative(f, s: float, order: int = 1, h: float | None = None):
     return (-fm2 + 2 * fm1 - 2 * fp1 + fp2) / (2 * h ** 3)
 
 
-def first_derivative(f, s: np.ndarray, h: float = H_FIRST) -> np.ndarray:
-    """First derivative at every entry of the 1-D array s, with the stencil
-    of derivative(); f takes an array and is called once on all 4N points."""
-    values = f(np.concatenate([s - 2 * h, s - h, s + h, s + 2 * h]))
-    return _first_order(*np.split(values, 4), h)
+def stencil(s: np.ndarray) -> np.ndarray:
+    """The 5N points s, s - 2h, s - h, s + h, s + 2h (in that order, N at a
+    time) of the first-derivative stencil of derivative() at the 1-D array s."""
+    h = H_FIRST
+    return np.concatenate([s, s - 2 * h, s - h, s + h, s + 2 * h])
 
 
-def value_and_first_derivative(f, s: np.ndarray, h: float = H_FIRST):
-    """(f(s), f'(s)) at every entry of the 1-D array s, with the stencil of
-    derivative(); f takes an array and is called once on the 5N points s,
-    s - 2h, s - h, s + h, s + 2h (in that order, N at a time)."""
-    values = f(np.concatenate([s, s - 2 * h, s - h, s + h, s + 2 * h]))
-    here, *stencil = np.split(values, 5)
-    return here, _first_order(*stencil, h)
+def split(values: np.ndarray):
+    """(f(s), f'(s)) from the values of f at the points stencil(s)."""
+    here, *rest = np.split(values, 5)
+    return here, _first_order(*rest, H_FIRST)
 
 
 def _first_order(fm2, fm1, fp1, fp2, h: float):

@@ -11,22 +11,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SceneConfig, build_curve, split_range
-from .curves import (
-    darboux_data,
-    frenet_apparatus,
-    is_general_helix,
-    orthonormality_residuals,
-)
-from .errors import CylindricalRulingError, GeometryError
+from .curves import _darboux, _general_helix, _samples, orthonormality_residuals
+from .errors import CylindricalRulingError
 from .involute import InvoluteCurve
 from .lorentz import coordinate_cross, cross
 from .surfaces import (
     Degeneracy,
-    classify_developability,
-    drall_closed,
-    drall_numeric,
+    _coefficients,
+    _drall_closed,
+    _drall_numeric,
+    _striction,
+    _verdict,
     general_surface,
-    striction_point,
 )
 
 __all__ = ["ReportResult", "run_report"]
@@ -79,6 +75,10 @@ def run_report(cfg: SceneConfig) -> ReportResult:
     to warnings (singular dralls, closed/numeric disagreements, striction
     inconsistencies). Configuration errors are raised before this point and
     map to exit code 2 in the command-line front end.
+
+    The base curve is evaluated once for its table and once per segment; a
+    segment's evaluation serves every direction, and each row and verdict
+    comes from array results whose per-sample status marks error cells.
     """
     warnings: list[str] = []
     lines: list[str] = []
@@ -108,8 +108,8 @@ def run_report(cfg: SceneConfig) -> ReportResult:
     lines.append("= base curve =")
     header = f"{'s':>14} {'kappa':>14} {'tau':>14} {'theta':>14} {'theta_dot':>14}"
     lines.append(header)
-    fa = frenet_apparatus(curve, samples)
-    dd = darboux_data(curve, samples)
+    ev = _darboux(curve, _samples(samples))
+    fa, dd = ev.fa, ev.dd
     runs: list[list] = []  # [causal class, first s, last s] per run of samples
     for *row, cls in zip(samples, fa.kappa, fa.tau, dd.theta, dd.theta_dot, map(str, dd.d_class)):
         lines.append(" ".join(f"{_fmt(x):>14}" for x in row))
@@ -130,7 +130,7 @@ def run_report(cfg: SceneConfig) -> ReportResult:
                 f"s = {_fmt(last)} and s = {_fmt(first)}; theta and theta_dot "
                 "change branch there"
             )
-    helix, deviation = is_general_helix(curve, samples)
+    helix, deviation = _general_helix(fa)
     lines.append(
         f"general helix: {'yes' if helix else 'no'} "
         f"(ratio deviation {_fmt(deviation)})"
@@ -144,6 +144,7 @@ def run_report(cfg: SceneConfig) -> ReportResult:
         + _fmt(dual_res)
     )
 
+    seg_evals = [_darboux(curve, _samples(points)) for points in seg_samples]
     for d_idx, coeffs in enumerate(cfg.directions):
         lines.append("")
         lines.append(
@@ -161,44 +162,46 @@ def run_report(cfg: SceneConfig) -> ReportResult:
             f"{'s':>14} {'drall closed':>14} {'drall numeric':>14} "
             f"{'degeneracy':>12} {'striction':>14}"
         )
-        for surf, points in zip(seg_surfaces, seg_samples):
-            dralls = drall_closed(surf, points)
-            for s, value, degeneracy in zip(points, dralls.value, dralls.degeneracy):
-                try:
-                    numeric = drall_numeric(surf, s)
-                    numeric_txt = _fmt(numeric.value)
+        verdicts = []
+        for surf, points, seg_ev in zip(seg_surfaces, seg_samples, seg_evals):
+            normalized = _coefficients(surf)
+            closed = _drall_closed(surf.inv, normalized, seg_ev)
+            numeric, numeric_status = _drall_numeric(surf.inv, normalized, seg_ev)
+            strict, strict_status = _striction(surf.inv, normalized, seg_ev)
+            verdicts.append(_verdict(surf, seg_ev, closed))
+            for s, value, degeneracy, num, num_degeneracy, num_error, offset, strict_error in zip(
+                points, closed.value, closed.degeneracy, numeric.value, numeric.degeneracy,
+                numeric_status, strict.offset, strict_status,
+            ):
+                if num_error is not None:
+                    numeric_txt = "error"
+                    warnings.append(f"direction {d_idx}: {num_error}")
+                else:
+                    numeric_txt = _fmt(num)
                     if (
                         degeneracy is Degeneracy.REGULAR
-                        and numeric.degeneracy is Degeneracy.REGULAR
+                        and num_degeneracy is Degeneracy.REGULAR
+                        and abs(value - num) > MISMATCH_TOL * max(1.0, abs(num))
                     ):
-                        gap = abs(value - numeric.value)
-                        if gap > MISMATCH_TOL * max(1.0, abs(numeric.value)):
-                            warnings.append(
-                                f"direction {d_idx}: closed/numeric drall disagree "
-                                f"at s = {_fmt(s)} ({_fmt(value)} vs {_fmt(numeric.value)})"
-                            )
-                except GeometryError as exc:
-                    numeric_txt = "error"
-                    warnings.append(f"direction {d_idx}: {exc}")
+                        warnings.append(
+                            f"direction {d_idx}: closed/numeric drall disagree "
+                            f"at s = {_fmt(s)} ({_fmt(value)} vs {_fmt(num)})"
+                        )
                 if degeneracy is Degeneracy.SINGULAR:
                     warnings.append(
                         f"direction {d_idx}: singular drall denominator at s = {_fmt(s)}"
                     )
-                try:
-                    strict = _fmt(striction_point(surf, s).offset)
-                except CylindricalRulingError:
-                    strict = "cylindrical"
-                except GeometryError as exc:
-                    strict = "error"
-                    warnings.append(f"direction {d_idx}: {exc}")
+                if isinstance(strict_error, CylindricalRulingError):
+                    strict_txt = "cylindrical"
+                elif strict_error is not None:
+                    strict_txt = "error"
+                    warnings.append(f"direction {d_idx}: {strict_error}")
+                else:
+                    strict_txt = _fmt(offset)
                 lines.append(
                     f"{_fmt(s):>14} {_fmt(value):>14} {numeric_txt:>14} "
-                    f"{degeneracy.value:>12} {strict:>14}"
+                    f"{degeneracy.value:>12} {strict_txt:>14}"
                 )
-        verdicts = [
-            classify_developability(surf, points)
-            for surf, points in zip(seg_surfaces, seg_samples)
-        ]
         developable = all(v.developable for v in verdicts)
         reason = verdicts[0].reason
         lines.append(

@@ -22,10 +22,12 @@ from .curves import (
     DerivativeMode,
     _check,
     _darboux,
+    _general_helix,
+    _raise_first,
     _result,
     _samples,
+    _status,
     darboux_data,
-    is_general_helix,
 )
 from .errors import (
     CylindricalRulingError,
@@ -40,7 +42,6 @@ from .involute import (
     _velocity,
     involute_frame,
     involute_point,
-    involute_velocity,
 )
 from .lorentz import CausalClass, Causality, Orientation, _inner, _triple
 
@@ -179,12 +180,13 @@ def ruling_derivative(surf: TrajectoryRuledSurface, s) -> np.ndarray:
     and the mirrored coefficients for a timelike one. The n-coefficient is
     -x2 ||d|| in both cases.
     """
-    s_arr = _samples(s)
-    return _result(_ruling_derivative(_coefficients(surf), *_darboux(surf.inv.base, s_arr)), s)
+    return _result(_ruling_derivative(_coefficients(surf), _darboux(surf.inv.base, _samples(s))), s)
 
 
-def _ruling_derivative(coeffs: np.ndarray, fa, spacelike: np.ndarray, dd) -> np.ndarray:
-    """X' from the rotation data; coefficients of shape (3,) or (N, 3)."""
+def _ruling_derivative(coeffs: np.ndarray, ev) -> np.ndarray:
+    """X' at ev.s from its evaluation (_darboux); coefficients of shape (3,)
+    or (N, 3)."""
+    fa, spacelike, dd = ev.fa, ev.spacelike, ev.dd
     x1, x2, x3 = coeffs.T
     ch = np.cosh(dd.theta)
     sh = np.sinh(dd.theta)
@@ -257,25 +259,22 @@ def drall_closed(surf: TrajectoryRuledSurface, s) -> DrallResult:
     numerator over |(x1^2 + x2^2) ||d||^2 - (x2^2 - x3^2) theta'^2
     - 2 x1 x3 theta' ||d|||. The case is chosen per sample.
     """
-    s_arr = _samples(s)
-    closed = _drall_closed(surf.inv, _coefficients(surf), s_arr, *_darboux(surf.inv.base, s_arr))
+    closed = _drall_closed(surf.inv, _coefficients(surf), _darboux(surf.inv.base, _samples(s)))
     return _result(closed, s)
 
 
-def _drall_closed(
-    inv: InvoluteCurve, coeffs: np.ndarray, s: np.ndarray, fa, spacelike: np.ndarray, dd
-) -> DrallResult:
-    """Closed-form drall at the 1-D array s from its rotation data (_darboux);
-    coefficients of shape (3,) or one row per sample."""
-    kappa = fa.kappa
+def _drall_closed(inv: InvoluteCurve, coeffs: np.ndarray, ev) -> DrallResult:
+    """Closed-form drall at ev.s from its evaluation (_darboux); coefficients
+    of shape (3,) or one row per sample."""
+    kappa = ev.fa.kappa
     x1, x2, x3 = coeffs.T
-    sign = np.where(spacelike, 1.0, -1.0)
-    cs = inv.c_const - s
-    dn = dd.d_norm
-    td = dd.theta_dot
+    sign = np.where(ev.spacelike, 1.0, -1.0)
+    cs = inv.c_const - ev.s
+    dn = ev.dd.d_norm
+    td = ev.dd.theta_dot
     bracket = x1 * x3 * dn - td * (x3 * x3 - x2 * x2)
     num = sign * cs * kappa * bracket
-    den = np.where(spacelike, x2 * x2 - x1 * x1, x1 * x1 + x2 * x2) * dn * dn + sign * (
+    den = np.where(ev.spacelike, x2 * x2 - x1 * x1, x1 * x1 + x2 * x2) * dn * dn + sign * (
         (x2 * x2 - x3 * x3) * td * td + 2.0 * x1 * x3 * td * dn
     )
     num_scale = np.maximum(1.0, np.abs(cs) * kappa * (dn + np.abs(td)))
@@ -294,27 +293,28 @@ def drall_numeric(surf: TrajectoryRuledSurface, s) -> DrallResult:
     closed form above (no theta' enters). gamma' is evaluated analytically
     and cross-checked per sample against finite differences of the involute
     position; a failed check raises GeometryError naming the first bad s.
-    For N samples the kernel makes one involute_velocity call on N points,
-    one involute_point call on the 4N stencil points and one involute_frame
-    call on the 5N points s plus stencil, from which both X and X' come.
+    For N samples the base frame is evaluated once, on the 5N points s plus
+    stencil (numdiff.stencil), and X and X' both come from the involute
+    frames there; the involute position is evaluated once on the same points.
     """
-    return _result(_drall_numeric(surf.inv, _coefficients(surf), _samples(s)), s)
+    ev = _darboux(surf.inv.base, _samples(s))
+    return _result(_raise_first(*_drall_numeric(surf.inv, _coefficients(surf), ev)), s)
 
 
-def _drall_numeric(inv: InvoluteCurve, coeffs: np.ndarray, s: np.ndarray) -> DrallResult:
-    """Determinant drall at the 1-D array s; coefficients of shape (3,) or
-    one row per sample."""
-    gdot = involute_velocity(inv, s)
-    gdot_fd = numdiff.first_derivative(lambda u: involute_point(inv, u), s)
+def _drall_numeric(inv: InvoluteCurve, coeffs: np.ndarray, ev):
+    """Determinant drall at ev.s and its per-sample status (curves._status):
+    a GeometryError where the involute velocity cross-check fails.
+    Coefficients of shape (3,) or one row per sample."""
+    s = ev.s
+    gdot = _velocity(inv, s, ev.fa)
+    _, gdot_fd = numdiff.split(involute_point(inv, ev.points))
     drift = np.max(np.abs(gdot - gdot_fd), axis=-1)
     bound = 1e-4 * np.maximum(1.0, np.max(np.abs(gdot), axis=-1))
-    _check(drift > bound, GeometryError, lambda i: (
+    status = _status((drift > bound, GeometryError, lambda i: (
         f"involute velocity cross-check failed at s = {s[i]} (drift {drift[i]})"
-    ))
+    )))
     rows = np.tile(np.broadcast_to(coeffs, (s.size, 3)), (5, 1))
-    x_here, xdot = numdiff.value_and_first_derivative(
-        lambda u: _ruling(rows, involute_frame(inv, u)), s
-    )
+    x_here, xdot = numdiff.split(_ruling(rows, _frame(ev.rotation)))
     num = _triple(gdot, x_here, xdot)
     den = _inner(xdot, xdot)
     xdot_sq = np.sum(xdot * xdot, axis=-1)
@@ -325,7 +325,7 @@ def _drall_numeric(inv: InvoluteCurve, coeffs: np.ndarray, s: np.ndarray) -> Dra
         * np.maximum(1.0, np.sqrt(xdot_sq)),
     )
     den_scale = np.maximum(1.0, xdot_sq)
-    return _classify_drall(num, den, num_scale, den_scale, TAU_DEV_FD)
+    return _classify_drall(num, den, num_scale, den_scale, TAU_DEV_FD), status
 
 
 def normal_binormal_drall_ratio(inv: InvoluteCurve, s: float) -> float:
@@ -355,11 +355,16 @@ def classify_developability(
     geometrically: the tangent-plane normal at ruling parameters 0.1 and 1.0
     must be parallel within 1e-3 radians.
     """
-    s_arr = _samples(samples)
+    ev = _darboux(surf.inv.base, _samples(samples))
+    return _verdict(surf, ev, _drall_closed(surf.inv, _coefficients(surf), ev))
+
+
+def _verdict(surf: TrajectoryRuledSurface, ev, res: DrallResult) -> DevelopabilityReport:
+    """classify_developability from the evaluation at the samples and the
+    closed drall res there."""
     inv = surf.inv
     coeffs = _coefficients(surf)
-    fa, spacelike, dd = _darboux(inv.base, s_arr)
-    res = _drall_closed(inv, coeffs, s_arr, fa, spacelike, dd)
+    n = ev.s.size
     counts = {deg: int(np.count_nonzero(res.degeneracy == deg)) for deg in Degeneracy}
     regular = res.degeneracy == Degeneracy.REGULAR
     max_abs = float(np.max(np.abs(res.value[regular]), initial=0.0))
@@ -367,10 +372,10 @@ def classify_developability(
     # Euclidean normals of the tangent plane span{phi_s, phi_v}; the span is
     # metric-independent, so this is a valid constancy probe along rulings.
     dev = res.developable
-    s_dev = s_arr[dev]
-    gdot = _velocity(inv, s_arr, fa)[dev]
-    xdot = _ruling_derivative(coeffs, fa, spacelike, dd)[dev]
-    x_here = _ruling(coeffs, _frame(fa, spacelike, dd.theta, dd.d_class))[dev]
+    s_dev = ev.s[dev]
+    gdot = _velocity(inv, ev.s, ev.fa)[dev]
+    xdot = _ruling_derivative(coeffs, ev)[dev]
+    x_here = _ruling(coeffs, _frame(ev.rotation))[:n][dev]
     n1 = np.cross(gdot + 0.1 * xdot, x_here)
     n2 = np.cross(gdot + 1.0 * xdot, x_here)
     len1 = np.linalg.norm(n1, axis=-1)
@@ -384,14 +389,13 @@ def classify_developability(
         f"drall flags s = {s_dev[probed][i]} developable but ruling normals tilt by {angles[i]}"
     ))
     developable = bad == 0
-    x1, x2, x3 = surf.direction.coefficients()
     if not developable:
-        reason = f"drall exceeds tolerance at {bad} of {len(samples)} samples"
-    elif counts[Degeneracy.CYLINDRICAL] == len(samples):
+        reason = f"drall exceeds tolerance at {bad} of {n} samples"
+    elif counts[Degeneracy.CYLINDRICAL] == n:
         reason = "constant ruling direction (cylindrical surface)"
-    elif abs(x2) < 1e-12 and abs(x3) < 1e-12:
+    elif abs(coeffs[1]) < 1e-12 and abs(coeffs[2]) < 1e-12:
         reason = "ruling along the involute tangent"
-    elif is_general_helix(surf.inv.base, samples)[0]:
+    elif _general_helix(ev.fa)[0]:
         reason = "base curve is a general helix (constant rotation angle)"
     else:
         reason = "rotation-angle profile satisfies the developability condition"
@@ -519,34 +523,41 @@ def striction_point(surf: TrajectoryRuledSurface, s) -> StrictionPoint:
     """Central point on the ruling at s (a float or a 1-D array); undefined
     for cylindrical rulings. An error names the first bad sample.
 
-    The rotation data are evaluated once: the closed X' and offset_closed
-    come from them. The involute position and X at s come from the same
-    array calls as their finite-difference stencils.
+    The base frame is evaluated once, on the 5N points s plus stencil: the
+    closed X' and offset_closed come from the rotation data at s, X and its
+    finite-difference X' from the involute frames at all 5N points. The
+    involute position is evaluated once on the same points.
     """
-    inv = surf.inv
-    s_arr = _samples(s)
-    coeffs = _coefficients(surf)
-    fa, spacelike, dd = _darboux(inv.base, s_arr)
-    xdot_closed = _ruling_derivative(coeffs, fa, spacelike, dd)
+    ev = _darboux(surf.inv.base, _samples(s))
+    return _result(_raise_first(*_striction(surf.inv, _coefficients(surf), ev)), s)
+
+
+def _striction(inv: InvoluteCurve, coeffs: np.ndarray, ev):
+    """Striction points at ev.s and their per-sample status (curves._status):
+    a CylindricalRulingError where the closed X' is numerically null, else a
+    GeometryError where the two offsets disagree. Coefficients of shape (3,)."""
+    s, dd = ev.s, ev.dd
+    xdot_closed = _ruling_derivative(coeffs, ev)
     xx = _inner(xdot_closed, xdot_closed)
     null = np.abs(xx) <= DEGEN_TOL * np.maximum(1.0, dd.d_norm ** 2 + dd.theta_dot ** 2)
-    _check(null, CylindricalRulingError, lambda i: (
-        f"striction undefined at s = {s_arr[i]}: ruling derivative is numerically null"
-    ))
-    gamma, gdot_fd = numdiff.value_and_first_derivative(lambda u: involute_point(inv, u), s_arr)
-    x_here, xdot_fd = numdiff.value_and_first_derivative(
-        lambda u: _ruling(coeffs, involute_frame(inv, u)), s_arr
+    gamma, gdot_fd = numdiff.split(involute_point(inv, ev.points))
+    x_here, xdot_fd = numdiff.split(_ruling(coeffs, _frame(ev.rotation)))
+    # cylindrical samples divide by a null square; their status says so
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = -_inner(gdot_fd, xdot_fd) / _inner(xdot_fd, xdot_fd)
+        offset_closed = coeffs[1] * (inv.c_const - s) * ev.fa.kappa * dd.d_norm / xx
+        disagree = np.abs(offset - offset_closed) > TAU_STRICT * np.maximum(1.0, np.abs(offset))
+        point = gamma + offset[:, None] * x_here
+    status = _status(
+        (null, CylindricalRulingError, lambda i: (
+            f"striction undefined at s = {s[i]}: ruling derivative is numerically null"
+        )),
+        (disagree, GeometryError, lambda i: (
+            f"striction offsets disagree at s = {s[i]}: "
+            f"numeric {offset[i]} vs closed {offset_closed[i]}"
+        )),
     )
-    offset = -_inner(gdot_fd, xdot_fd) / _inner(xdot_fd, xdot_fd)
-    cs = inv.c_const - s_arr
-    offset_closed = coeffs[1] * cs * fa.kappa * dd.d_norm / xx
-    disagree = np.abs(offset - offset_closed) > TAU_STRICT * np.maximum(1.0, np.abs(offset))
-    _check(disagree, GeometryError, lambda i: (
-        f"striction offsets disagree at s = {s_arr[i]}: "
-        f"numeric {offset[i]} vs closed {offset_closed[i]}"
-    ))
-    point = gamma + offset[:, None] * x_here
-    return _result(StrictionPoint(point=point, offset=offset, offset_closed=offset_closed), s)
+    return StrictionPoint(point=point, offset=offset, offset_closed=offset_closed), status
 
 
 def base_is_striction(surf: TrajectoryRuledSurface, samples: Sequence[float]) -> bool:

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .config import polynomial
-from .curves import Curve, _darboux, _item, curve_from_curvature
+from .curves import Curve, _darboux, _item, _raise_first, curve_from_curvature
 from .involute import InvoluteCurve
 from .surfaces import (
     Degeneracy,
@@ -183,11 +183,11 @@ def run_trials(
             s_list.append(float(rng.uniform(s_window[0], s_window[1])))
         coeffs = np.array([d.coefficients() for d in directions])
         s = np.array(s_list)
-        closed = _drall_closed(inv, coeffs, s, *_darboux(curve, s))
+        closed = _drall_closed(inv, coeffs, _darboux(curve, s))
         scale = np.maximum(1.0, np.abs(closed.denominator) + np.abs(closed.numerator))
         ill = np.abs(closed.denominator) < min_denominator * scale
         kept = np.flatnonzero((closed.degeneracy != Degeneracy.REGULAR) | ~ill)
-        numeric = _drall_numeric(inv, coeffs[kept], s[kept])
+        numeric = _raise_first(*_drall_numeric(inv, coeffs[kept], _darboux(curve, s[kept])))
         for j, i in enumerate(kept.tolist()):
             out.append(_trial(s_list[i], directions[i], _item(closed, i), _item(numeric, j)))
     return out

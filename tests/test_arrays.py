@@ -176,11 +176,11 @@ def test_per_row_coefficient_kernels_match_per_surface_calls(cases, case, data):
     surfs = [mk.TrajectoryRuledSurface(inv=inv, direction=d) for d in dirs]
     assert_stacked(
         "drall_closed",
-        surfaces._drall_closed(inv, coeffs, s_arr, *_darboux(curve, s_arr)),
+        surfaces._drall_closed(inv, coeffs, _darboux(curve, s_arr)),
         [mk.drall_closed(surf, s) for surf, s in zip(surfs, s_arr.tolist())],
     )
     assert_stacked(
         "drall_numeric",
-        surfaces._drall_numeric(inv, coeffs, s_arr),
+        surfaces._drall_numeric(inv, coeffs, _darboux(curve, s_arr))[0],
         [mk.drall_numeric(surf, s) for surf, s in zip(surfs, s_arr.tolist())],
     )

@@ -32,12 +32,12 @@ def timelike_line(domain=(-1.0, 1.0)):
 
 class TestDerivatives:
     def test_helix_first_derivative(self, helix):
-        got = mk.derivatives(helix, 0.0, 1)[0]
+        got = helix.derivative(0.0, 1)
         assert np.allclose(got, [2 / RT3, 0.0, 1 / RT3], atol=1e-15)
 
     def test_straight_line_second_derivative(self):
         line = timelike_line()
-        assert np.allclose(mk.derivatives(line, 0.3, 2)[1], 0.0)
+        assert np.allclose(line.derivative(0.3, 2), 0.0)
 
     def test_finite_difference_matches_analytic(self, helix):
         fd_curve = mk.Curve(
@@ -325,3 +325,35 @@ class TestHelixConstructor:
     def test_lightlike_rotation_vector_rejected(self):
         with pytest.raises(mk.NullDarbouxError):
             mk.helix_curve(1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "kappa,tau", [(1.2, 0.5), (2 / 3, -1 / 3), (0.4, 1.1), (1 / 3, -2 / 3)]
+    )
+    def test_jet_equals_the_written_out_families(self, kappa, tau):
+        # position and derivatives 1-3 of each family, grouped as beta,
+        # beta w, beta w w and beta w^3 times the profile functions; exact
+        gap = kappa * kappa - tau * tau
+        w = math.sqrt(abs(gap))
+        beta = kappa / (w * w)
+        h = mk.helix_curve(kappa, tau, domain=(-1.0, 2.0))
+        for s in (-0.7, 0.0, 0.3, 1.9):
+            ch, sh, c, n = math.cosh(w * s), math.sinh(w * s), math.cos(w * s), math.sin(w * s)
+            if gap > 0.0:
+                a = tau / w
+                want = [
+                    [beta * sh, beta * ch, a * s],
+                    [beta * w * ch, beta * w * sh, a],
+                    [beta * w * w * sh, beta * w * w * ch, 0.0],
+                    [beta * w ** 3 * ch, beta * w ** 3 * sh, 0.0],
+                ]
+            else:
+                a = -tau / w
+                want = [
+                    [a * s, beta * c, beta * n],
+                    [a, -beta * w * n, beta * w * c],
+                    [0.0, -beta * w * w * c, -beta * w * w * n],
+                    [0.0, beta * w ** 3 * n, -beta * w ** 3 * c],
+                ]
+            got = [h.point(s)] + [h.derivative(s, k) for k in (1, 2, 3)]
+            for k in range(4):
+                assert got[k].tolist() == want[k], (s, k)

@@ -7,6 +7,8 @@ import pytest
 import minkruled as mk
 from minkruled import cli
 
+from test_golden import GOLDEN
+
 RT3 = math.sqrt(3.0)
 
 
@@ -265,6 +267,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "seed: 11" in out
+
+    def test_env_seed_not_an_integer_goes_to_stderr(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MINKRULED_SEED", "eleven")
+        code = cli.main(["verify", helix_config(tmp_path), "--trials", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "MINKRULED_SEED must be an integer, got 'eleven'" in captured.err
+
+    def test_mesh_into_a_missing_directory_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # the golden scene writes to out/, which this working directory lacks
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["mesh", str(GOLDEN / "helix_scene.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "config error: cannot write out/helix_cli_d0_s0.obj: No such file or directory\n"
+        )
+        assert "wrote" not in captured.out
+        (tmp_path / "out").mkdir()
+        assert cli.main(["mesh", str(GOLDEN / "helix_scene.json")]) == 0
+        assert (tmp_path / "out" / "helix_cli_d2_s1.obj").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = helix_config(tmp_path, grid=[1, 2])

@@ -37,3 +37,14 @@ def test_vector_valued():
 def test_rejects_bad_order():
     with pytest.raises(ValueError):
         numdiff.derivative(math.sin, 0.0, order=4)
+
+
+def test_stencil_split_equals_derivative_per_sample():
+    s = np.array([-0.3, 0.0, 0.7, 2.5])
+    f = lambda u: np.stack([np.sin(u), u ** 3], axis=-1)
+    values = f(numdiff.stencil(s))
+    here, slope = numdiff.split(values)
+    assert values.shape == (5 * s.size, 2)
+    np.testing.assert_array_equal(here, f(s))
+    for i, u in enumerate(s.tolist()):
+        np.testing.assert_array_equal(slope[i], numdiff.derivative(f, u, order=1))

@@ -13,7 +13,7 @@ def counted(calls, name, fn, samples=None):
     def wrapper(*args, **kwargs):
         calls[name] += 1
         if samples is not None:
-            calls[samples] += len(args[2])
+            calls[samples] += len(args[2].s)
         return fn(*args, **kwargs)
 
     return wrapper
