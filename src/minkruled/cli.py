@@ -32,11 +32,8 @@ def _cmd_report(args) -> int:
 
 
 def _segment_path(path: str, direction_index: int, segment_index: int) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        stem, ext = path, ""
-    suffix = f"_d{direction_index}_s{segment_index}"
-    return f"{stem}{suffix}.{ext}" if ext else f"{stem}{suffix}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_d{direction_index}_s{segment_index}{ext}"
 
 
 def _cmd_mesh(args) -> int:

@@ -64,6 +64,7 @@ KAPPA_MIN = 1e-8
 TAU_HELIX = 1e-6
 ODE_STEP = 1e-3
 NULL_GAP = 1e-12
+VALIDATION_SAMPLES = 25  # unit-speed check grid of a new Curve
 
 
 def _samples(s) -> np.ndarray:
@@ -154,7 +155,6 @@ class Curve:
         derivatives: Sequence[Callable[[float], np.ndarray]] | None = None,
         domain: tuple[float, float] = (0.0, 1.0),
         validate: bool = True,
-        validation_samples: int = 25,
     ):
         self._position = position
         self._derivatives = tuple(derivatives) if derivatives else ()
@@ -165,7 +165,7 @@ class Curve:
             raise ValueError("domain must be a finite interval with s_min < s_max")
         self.domain = (lo, hi)
         if validate:
-            self._validate_unit_speed(validation_samples)
+            self._validate_unit_speed()
 
     @property
     def derivative_mode(self) -> DerivativeMode:
@@ -202,10 +202,10 @@ class Curve:
             f"s = {s[i]} outside usable domain [{lo + margin}, {hi - margin}]"
         ))
 
-    def _validate_unit_speed(self, samples: int) -> None:
+    def _validate_unit_speed(self) -> None:
         lo, hi = self.domain
         margin = 0.0 if self._derivatives else numdiff.stencil_halfwidth(1)
-        grid = np.linspace(lo + margin, hi - margin, max(3, samples))
+        grid = np.linspace(lo + margin, hi - margin, VALIDATION_SAMPLES)
         _require_unit_speed(self.derivative(grid, 1), grid)
 
 

@@ -40,8 +40,8 @@ class InvoluteCurve:
             domain = self._default_domain()
         lo, hi = float(domain[0]), float(domain[1])
         blo, bhi = base.domain
-        if lo >= hi:
-            raise ValueError("involute domain must satisfy s_min < s_max")
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+            raise ValueError(f"involute domain ({lo}, {hi}) must be finite with s_min < s_max")
         if lo < blo - 1e-12 or hi > bhi + 1e-12:
             raise ValueError("involute domain must lie inside the base domain")
         if lo < self.c_const + EPS_CUSP and hi > self.c_const - EPS_CUSP:

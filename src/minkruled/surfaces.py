@@ -563,15 +563,16 @@ def _striction(inv: InvoluteCurve, coeffs: np.ndarray, ev):
 def base_is_striction(surf: TrajectoryRuledSurface, samples: Sequence[float]) -> bool:
     """Whether the involute itself is the striction curve over the samples.
 
-    Cylindrical samples are skipped (no central point); every remaining
-    offset must vanish within TAU_STRICT. Away from degeneracies this is
-    equivalent to x2 = 0.
+    Cylindrical samples are skipped (no central point); every other offset
+    must vanish within TAU_STRICT (away from degeneracies: x2 = 0). All samples
+    share one evaluation: a frame error at any sample raises first; then, in
+    order, a failed striction check raises and an offset over TAU_STRICT gives False.
     """
-    for s in samples:
-        try:
-            sp = striction_point(surf, float(s))
-        except CylindricalRulingError:
-            continue
-        if abs(sp.offset) > TAU_STRICT:
+    ev = _darboux(surf.inv.base, _samples(samples))
+    sp, status = _striction(surf.inv, _coefficients(surf), ev)
+    for error, offset in zip(status, sp.offset.tolist()):
+        if error is None and abs(offset) > TAU_STRICT:
             return False
+        if error is not None and not isinstance(error, CylindricalRulingError):
+            raise error
     return True

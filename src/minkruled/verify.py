@@ -42,6 +42,7 @@ MAX_DRAWS = 1000
 # Largest round of run_trials: keeps the memory of one round bounded (a few
 # kB per candidate) whatever the trial count.
 MAX_ROUND = 1000
+MIN_SQUARE = 0.2
 
 
 @dataclass(frozen=True)
@@ -63,12 +64,12 @@ class RandomCurve:
     tau: Callable[[float], float]
 
 
-def random_direction(rng: np.random.Generator, min_square: float = 0.2) -> RulingDirection:
-    """Random non-null ruling direction with a comfortably non-null square."""
+def random_direction(rng: np.random.Generator) -> RulingDirection:
+    """Random non-null ruling direction whose square is at least MIN_SQUARE."""
     while True:
         x = rng.uniform(-1.5, 1.5, size=3)
         q = x[0] * x[0] - x[1] * x[1] + x[2] * x[2]
-        if abs(q) >= min_square:
+        if abs(q) >= MIN_SQUARE:
             return make_direction(float(x[0]), float(x[1]), float(x[2]))
 
 

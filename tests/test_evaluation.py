@@ -215,6 +215,68 @@ def test_array_striction_raises_for_the_first_bad_sample(half_helix_binormal):
         mk.striction_point(surf, np.array([0.2, 0.8]))
 
 
+def base_is_striction_reference(surf, samples):
+    """base_is_striction from one public scalar striction_point call per
+    sample, skipping cylindrical samples by their error."""
+    for s in samples:
+        try:
+            sp = mk.striction_point(surf, float(s))
+        except mk.CylindricalRulingError:
+            continue
+        if abs(sp.offset) > surfaces.TAU_STRICT:
+            return False
+    return True
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except mk.GeometryError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def striction_curves():
+    helix = mk.helix_curve(2 / 3, 1 / 3, domain=(-0.2, 2.0))
+    synth = mk.curve_from_curvature(
+        lambda s: 1.1 + 0.05 * s, lambda s: 0.3 - 0.1 * s * s, domain=(-0.05, 1.05)
+    )
+    return helix, synth
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 1.0), (0.8, 0.25, 0.7)],
+)
+def test_base_is_striction_equals_per_sample_reference(striction_curves, coeffs):
+    # (0, 0, 1) on the helix is cylindrical at every sample
+    for curve in striction_curves:
+        surf = mk.general_surface(mk.InvoluteCurve(curve, 3.0, domain=(0.0, 1.0)), *coeffs)
+        samples = [0.1, 0.35, 0.6, 0.85]
+        for s_set in (samples, samples[::-1], samples[:1]):
+            want = outcome(base_is_striction_reference, surf, s_set)
+            assert outcome(mk.base_is_striction, surf, s_set) == want
+        # a sample out of domain after the others: one evaluation covers all
+        # samples, so its error is raised even where the walk would have
+        # returned False before reaching it
+        beyond = samples + [5.0]
+        got = outcome(mk.base_is_striction, surf, beyond)
+        assert got[0] is mk.OutOfDomainError and "s = 5.0" in got[1]
+        want = False if coeffs[1] else got  # x2 != 0: an offset is beyond TAU_STRICT
+        assert outcome(base_is_striction_reference, surf, beyond) == want
+
+
+def test_base_is_striction_statuses_equal_per_sample_reference(half_helix_binormal):
+    # cylindrical samples below s = 0.5, disagreeing offsets above
+    surf = half_helix_binormal
+    for s_set in ([0.2, 0.3], [0.2, 0.8], [0.8, 0.2], [0.3, 0.7, 0.9]):
+        want = outcome(base_is_striction_reference, surf, s_set)
+        assert outcome(mk.base_is_striction, surf, s_set) == want
+    assert mk.base_is_striction(surf, [0.2, 0.3])
+    with pytest.raises(mk.GeometryError, match="offsets disagree at s = 0.8:"):
+        mk.base_is_striction(surf, [0.2, 0.8])
+
+
 @pytest.fixture
 def frame_calls(monkeypatch):
     calls = {"frenet": 0}
@@ -248,6 +310,9 @@ def test_one_evaluation_per_public_call(frame_calls):
         lambda: mk.drall_numeric(surf, 0.4),
         lambda: mk.striction_point(surf, s_arr),
         lambda: mk.classify_developability(surf, s_arr.tolist()),
+        lambda: mk.sample_grid(surf, (0.1, 3.0), (-1.0, 1.0), 7, 3),
+        # x2 = 0: the involute is the striction curve, so every sample is read
+        lambda: mk.base_is_striction(mk.general_surface(surf.inv, 0.8, 0.0, 0.7), s_arr),
     ):
         frame_calls["frenet"] = 0
         call()

@@ -1,4 +1,5 @@
-"""Cross-version goldens: the demo helix report and normal-ruling mesh.
+"""Cross-version goldens: the demo helix report and normal-ruling mesh, and
+a general-ruling mesh over a prescribed-curvature curve.
 
 The files under tests/golden/ were written by an earlier version of the
 package. Byte equality across machines and library versions is not
@@ -70,3 +71,16 @@ def test_normal_mesh_matches_golden(tmp_path):
         path = tmp_path / name
         write(mesh, str(path))
         assert_text_close(path.read_text(), (GOLDEN / name).read_text())
+
+
+def test_prescribed_general_mesh_matches_golden(tmp_path, monkeypatch):
+    # both cusp segments of a general ruling, OBJ and CSV, through the CLI
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    code, out = cli_stdout(["mesh", str(GOLDEN / "prescribed_scene.json")])
+    assert code == 0
+    assert_text_close(out, (GOLDEN / "prescribed_mesh.txt").read_text())
+    for seg in (0, 1):
+        for ext in ("obj", "csv"):
+            name = f"prescribed_d0_s{seg}.{ext}"
+            assert_text_close((tmp_path / "out" / name).read_text(), (GOLDEN / name).read_text())

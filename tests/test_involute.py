@@ -162,6 +162,13 @@ class TestInvoluteDomain:
         with pytest.raises(ValueError):
             mk.InvoluteCurve(helix, 1.0, domain=(0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "domain", [(math.nan, 0.9), (0.0, math.nan), (-math.inf, 0.9), (0.0, math.inf)]
+    )
+    def test_domain_must_be_finite(self, helix, domain):
+        with pytest.raises(ValueError, match="involute domain"):
+            mk.InvoluteCurve(helix, 4.0, domain=domain)
+
     def test_domain_must_sit_inside_base(self, helix):
         with pytest.raises(ValueError):
             mk.InvoluteCurve(helix, 1.0, domain=(-5.0, 0.5))

@@ -44,6 +44,20 @@ class TestSampleGrid:
         with pytest.raises(ValueError):
             mk.sample_grid(surf, (0.0, 0.9), (-2.0, 2.0), 1, 2)
 
+    @pytest.mark.parametrize(
+        "s_range, v_range, name",
+        [
+            ((math.nan, 0.9), (-1.0, 1.0), "s_range"),
+            ((0.0, math.inf), (-1.0, 1.0), "s_range"),
+            ((0.0, 0.9), (math.nan, 1.0), "v_range"),
+            ((0.0, 0.9), (-1.0, math.inf), "v_range"),
+        ],
+    )
+    def test_non_finite_range_rejected(self, helix_involute, s_range, v_range, name):
+        surf = mk.normal_surface(helix_involute)
+        with pytest.raises(ValueError, match=f"{name} .* must be finite"):
+            mk.sample_grid(surf, s_range, v_range, 3, 2)
+
     def test_drall_attribute_per_row(self, helix_involute):
         surf = mk.binormal_surface(helix_involute)
         mesh = mk.sample_grid(surf, (0.0, 0.9), (-2.0, 2.0), 3, 2)
@@ -289,6 +303,18 @@ class TestCli:
         (tmp_path / "out").mkdir()
         assert cli.main(["mesh", str(GOLDEN / "helix_scene.json")]) == 0
         assert (tmp_path / "out" / "helix_cli_d2_s1.obj").exists()
+
+    @pytest.mark.parametrize(
+        "path, segment_path",
+        [
+            ("out/mesh.obj", "out/mesh_d0_s1.obj"),
+            ("./mesh", "./mesh_d0_s1"),
+            ("out.d/mesh", "out.d/mesh_d0_s1"),
+            (".hidden", ".hidden_d0_s1"),
+        ],
+    )
+    def test_segment_suffix_goes_before_the_file_extension(self, path, segment_path):
+        assert cli._segment_path(path, 0, 1) == segment_path
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = helix_config(tmp_path, grid=[1, 2])
