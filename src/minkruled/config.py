@@ -16,8 +16,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curves import Curve, curve_from_curvature, helix_curve
-from .errors import ConfigError
+from .errors import ConfigError, NullDirectionError
 from .involute import EPS_CUSP
+from .surfaces import make_direction
 
 __all__ = [
     "CurveSpec",
@@ -177,9 +178,12 @@ def parse_config(raw: dict) -> SceneConfig:
     for i, d in enumerate(dirs_raw):
         if not isinstance(d, list) or len(d) != 3:
             raise _fail(f"directions[{i}]", "expected three numbers")
-        directions.append(
-            tuple(_number(v, f"directions[{i}][{j}]") for j, v in enumerate(d))
-        )
+        direction = tuple(_number(v, f"directions[{i}][{j}]") for j, v in enumerate(d))
+        try:
+            make_direction(*direction)
+        except NullDirectionError as exc:
+            raise _fail(f"directions[{i}]", str(exc)) from None
+        directions.append(direction)
     s_range = _pair(raw["s_range"], "s_range")
     v_range = _pair(raw["v_range"], "v_range")
     grid_raw = raw["grid"]

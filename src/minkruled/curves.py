@@ -20,7 +20,9 @@ from scipy.interpolate import make_interp_spline
 
 from . import numdiff
 from .errors import (
+    CylindricalRulingError,
     DegenerateFrameError,
+    GeometryError,
     IntegrationError,
     InvalidFrameError,
     MissingDerivativeError,
@@ -93,37 +95,58 @@ def _item(value, i):
     return item.item() if isinstance(item, np.generic) else item
 
 
-def _check(bad: np.ndarray, error: type[Exception], message: Callable[[int], str]) -> None:
-    """Raise error(message(i)) for the first sample i that is bad."""
-    if bad.any():
-        raise error(message(int(np.argmax(bad))))
+# Per-sample outcomes are int8 _Code arrays: OK, or a failure with its (exception type, message).
+_FAILURES = {
+    "OUT_OF_DOMAIN": (OutOfDomainError, "s = {s} outside usable domain [{lo}, {hi}]"),
+    "NOT_UNIT_SPEED": (
+        NotUnitSpeedError, f"<r', r'> = {{speed}} at s = {{s}}; expected -1 within {TAU_SPEED}"
+    ),
+    "DEGENERATE_FRAME": (
+        DegenerateFrameError, f"curvature {{kappa}} below {KAPPA_MIN} at s = {{s}}"
+    ),
+    "LIGHTLIKE_ROTATION": (
+        NullDarbouxError, "rotation vector lightlike at s = {s} (kappa = {kappa}, tau = {tau})"
+    ),
+    "CYLINDRICAL": (
+        CylindricalRulingError,
+        "striction undefined at s = {s}: ruling derivative is numerically null",
+    ),
+    "VELOCITY_DRIFT": (
+        GeometryError, "involute velocity cross-check failed at s = {s} (drift {drift})"
+    ),
+    "OFFSET_DISAGREE": (
+        GeometryError,
+        "striction offsets disagree at s = {s}: numeric {offset} vs closed {offset_closed}",
+    ),
+    "NORMAL_TILT": (
+        GeometryError, "drall flags s = {s} developable but ruling normals tilt by {angle}"
+    ),
+}
+_Code = enum.IntEnum("_Code", ["OK", *_FAILURES], start=0)
 
 
-def _status(*checks) -> np.ndarray:
-    """Per-sample status: an object array holding, for each sample, the
-    error of the first of the (bad mask, error, message) checks it fails,
-    or None."""
-    status = np.full(len(checks[0][0]), None, dtype=object)
-    for bad, error, message in reversed(checks):  # earlier checks overwrite
-        for i in np.flatnonzero(bad).tolist():
-            status[i] = error(message(i))
-    return status
+def _error(code: int, **values) -> GeometryError:
+    """The exception of a failed code; built only where a call raises or a report prints it."""
+    kind, message = _FAILURES[_Code(code).name]
+    return kind(message.format(**values))
 
 
-def _raise_first(value, status: np.ndarray):
-    """value, once no sample of the _status array failed; otherwise raise
-    the error of the first failed sample."""
-    for error in status:
-        if error is not None:
-            raise error
-    return value
+def _raise_failed(failed: np.ndarray, code, s: np.ndarray, **values) -> None:
+    """Raise the error of code (one code, or one per row) for the first sample of s
+    with a failed row. failed and the array values hold k rows per sample, row j
+    belonging to s[j mod N] (numdiff.stencil order); the error reads the sample's
+    first failed row."""
+    if failed.any():
+        rows = failed.reshape(-1, s.size)
+        i = int(np.argmax(rows.any(axis=0)))
+        j = i + s.size * int(np.argmax(rows[:, i]))
+        code = code[j] if np.ndim(code) else code
+        raise _error(code, s=s[i], **{k: v[j] if np.ndim(v) else v for k, v in values.items()})
 
 
 def _require_unit_speed(d1: np.ndarray, s: np.ndarray) -> None:
     speed = _inner(d1, d1)
-    _check(np.abs(speed + 1.0) > TAU_SPEED, NotUnitSpeedError, lambda i: (
-        f"<r', r'> = {speed[i]} at s = {s[i]}; expected -1 within {TAU_SPEED}"
-    ))
+    _raise_failed(np.abs(speed + 1.0) > TAU_SPEED, _Code.NOT_UNIT_SPEED, s, speed=speed)
 
 
 class DerivativeMode(enum.Enum):
@@ -192,15 +215,15 @@ class Curve:
         self._require(s_arr, order)
         return _result(numdiff.derivative(lambda u: _stack(self._position, u), s_arr, order), s)
 
-    def _require(self, s: np.ndarray, order: int) -> None:
+    def _require(self, s: np.ndarray, order: int, reach: float = 0.0) -> None:
+        """Domain check at s for derivatives up to order, with s +- reach inside too."""
         lo, hi = self.domain
-        margin = 0.0
+        margin = reach
         if order > 0 and not self._derivatives:
-            margin = numdiff.stencil_halfwidth(order)
+            margin += numdiff.stencil_halfwidth(order)
         tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-        _check((s < lo + margin - tol) | (s > hi - margin + tol), OutOfDomainError, lambda i: (
-            f"s = {s[i]} outside usable domain [{lo + margin}, {hi - margin}]"
-        ))
+        bad = (s < lo + margin - tol) | (s > hi - margin + tol)
+        _raise_failed(bad, _Code.OUT_OF_DOMAIN, s, lo=lo + margin, hi=hi - margin)
 
     def _validate_unit_speed(self) -> None:
         lo, hi = self.domain
@@ -255,17 +278,19 @@ def frenet_apparatus(curve: Curve, s) -> FrenetApparatus:
     timelike tangent); n = r''/kappa; b completes the frame with determinant
     +1; tau is read off the third derivative as -<r''', b>/kappa.
     """
-    s_arr = _samples(s)
-    d1, d2, d3 = (curve.derivative(s_arr, k) for k in (1, 2, 3))
-    _require_unit_speed(d1, s_arr)
+    return _result(_frenet(curve, _samples(s)), s)
+
+
+def _frenet(curve: Curve, s: np.ndarray, points: np.ndarray | None = None) -> FrenetApparatus:
+    """The frame at the samples s, or at points, k per sample as for _raise_failed."""
+    d1, d2, d3 = (curve.derivative(s if points is None else points, k) for k in (1, 2, 3))
+    _require_unit_speed(d1, s)
     kappa = np.sqrt(np.maximum(_inner(d2, d2), 0.0))
-    _check(kappa < KAPPA_MIN, DegenerateFrameError, lambda i: (
-        f"curvature {kappa[i]} below {KAPPA_MIN} at s = {s_arr[i]}"
-    ))
+    _raise_failed(kappa < KAPPA_MIN, _Code.DEGENERATE_FRAME, s, kappa=kappa)
     n = d2 / kappa[:, None]
     b = _complete_frame(d1, n)
     tau = -_inner(d3, b) / kappa
-    return _result(FrenetApparatus(t=d1, n=n, b=b, kappa=kappa, tau=tau), s)
+    return FrenetApparatus(t=d1, n=n, b=b, kappa=kappa, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -288,16 +313,15 @@ class DarbouxData:
     c_unit: np.ndarray
 
 
-def _rotation(curve: Curve, s: np.ndarray):
-    """(frame, d, causal index into CAUSAL_CLASSES, ||d||, theta) at an array
-    of s. The causal branch is chosen per sample, so an array that crosses
+def _rotation(curve: Curve, s: np.ndarray, points: np.ndarray | None = None):
+    """(frame, d, causal index into CAUSAL_CLASSES, ||d||, theta) as for
+    _frenet. The causal branch is chosen per point, so an array that crosses
     kappa = |tau| gives the same values as one call per sample."""
-    fa = frenet_apparatus(curve, s)
+    fa = _frenet(curve, s, points)
     d = fa.tau[:, None] * fa.t - fa.kappa[:, None] * fa.b
     causal = _causal_index(d)
-    _check(causal == LIGHTLIKE_INDEX, NullDarbouxError, lambda i: (
-        f"rotation vector lightlike at s = {s[i]} (kappa = {fa.kappa[i]}, tau = {fa.tau[i]})"
-    ))
+    lightlike = causal == LIGHTLIKE_INDEX
+    _raise_failed(lightlike, _Code.LIGHTLIKE_ROTATION, s, kappa=fa.kappa, tau=fa.tau)
     spacelike = causal == SPACELIKE_INDEX
     d_norm = np.sqrt(np.abs(_inner(d, d)))
     theta = np.arctanh(
@@ -322,9 +346,10 @@ class _Evaluation:
 
 def _darboux(curve: Curve, s: np.ndarray) -> _Evaluation:
     """The evaluation every quantity at the 1-D array s reads; theta_dot
-    comes from the stencil rows of theta."""
+    comes from the stencil rows of theta. A frame error names the sample."""
+    curve._require(s, 3, reach=numdiff.stencil_halfwidth(1))
     points = numdiff.stencil(s)
-    rotation = _rotation(curve, points)
+    rotation = _rotation(curve, s, points)
     fa, d, causal, d_norm, _ = (_item(x, slice(s.size)) for x in rotation)
     theta, theta_dot = numdiff.split(rotation[4])
     dd = DarbouxData(d, CAUSAL_CLASSES[causal], d_norm, theta, theta_dot, d / d_norm[:, None])
@@ -432,6 +457,12 @@ def curve_from_curvature(
         out[3] = tau * y[2]
         return out
 
+    def unit(v: np.ndarray, sign: float, what: str, s: float) -> np.ndarray:
+        q = sign * _inner(v, v)  # positive while v keeps its causal character
+        if q <= 0.0:
+            raise IntegrationError(f"{what} near s = {s}")
+        return v / math.sqrt(q)
+
     state = np.vstack([p0, t0, n0, b0])
     for i in range(nsteps + 1):
         s = float(svals[i])
@@ -458,15 +489,10 @@ def curve_from_curvature(
             raise IntegrationError(f"non-finite state near s = {s + h}")
         # Lorentzian Gram-Schmidt; the projection onto the timelike t adds
         # (rather than subtracts) the <.,t> component because <t,t> = -1.
-        t = state[1]
-        q = -_inner(t, t)
-        if q <= 0.0:
-            raise IntegrationError(f"tangent left the timelike cone near s = {s + h}")
-        t = t / math.sqrt(q)
-        n = state[2] + _inner(state[2], t) * t
-        n = n / math.sqrt(_inner(n, n))
+        t = unit(state[1], -1.0, "tangent left the timelike cone", s + h)
+        n = unit(state[2] + _inner(state[2], t) * t, 1.0, "normal is no longer spacelike", s + h)
         b = state[3] + _inner(state[3], t) * t - _inner(state[3], n) * n
-        b = b / math.sqrt(_inner(b, b))
+        b = unit(b, 1.0, "binormal is no longer spacelike", s + h)
         state = np.vstack([state[0], t, n, b])
 
     k_spline = min(5, nsteps)

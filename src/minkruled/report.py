@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SceneConfig, build_curve, split_range
-from .curves import _darboux, _general_helix, _samples, orthonormality_residuals
-from .errors import CylindricalRulingError
+from .curves import _Code, _darboux, _error, _general_helix, _samples, orthonormality_residuals
 from .involute import InvoluteCurve
 from .lorentz import coordinate_cross, cross
 from .surfaces import (
@@ -78,7 +77,7 @@ def run_report(cfg: SceneConfig) -> ReportResult:
 
     The base curve is evaluated once for its table and once per segment; a
     segment's evaluation serves every direction, and each row and verdict
-    comes from array results whose per-sample status marks error cells.
+    comes from array results whose per-sample codes mark error cells.
     """
     warnings: list[str] = []
     lines: list[str] = []
@@ -145,44 +144,34 @@ def run_report(cfg: SceneConfig) -> ReportResult:
     )
 
     seg_evals = [_darboux(curve, _samples(points)) for points in seg_samples]
+    seg_invs = [InvoluteCurve(curve, cfg.c_const, domain=seg) for seg in segments]
     for d_idx, coeffs in enumerate(cfg.directions):
-        lines.append("")
-        lines.append(
-            f"= direction {d_idx}: [{_fmt(coeffs[0])}, {_fmt(coeffs[1])}, {_fmt(coeffs[2])}] ="
-        )
-        seg_surfaces = []
-        for seg in segments:
-            inv = InvoluteCurve(curve, cfg.c_const, domain=seg)
-            seg_surfaces.append(general_surface(inv, *coeffs))
+        seg_surfaces = [general_surface(inv, *coeffs) for inv in seg_invs]
         d = seg_surfaces[0].direction
-        lines.append(
-            f"normalized: [{_fmt(d.x1)}, {_fmt(d.x2)}, {_fmt(d.x3)}] ({d.causal})"
-        )
-        lines.append(
+        lines += [
+            "",
+            f"= direction {d_idx}: [{_fmt(coeffs[0])}, {_fmt(coeffs[1])}, {_fmt(coeffs[2])}] =",
+            f"normalized: [{_fmt(d.x1)}, {_fmt(d.x2)}, {_fmt(d.x3)}] ({d.causal})",
             f"{'s':>14} {'drall closed':>14} {'drall numeric':>14} "
-            f"{'degeneracy':>12} {'striction':>14}"
-        )
+            f"{'degeneracy':>12} {'striction':>14}",
+        ]
         verdicts = []
         for surf, points, seg_ev in zip(seg_surfaces, seg_samples, seg_evals):
             normalized = _coefficients(surf)
             closed = _drall_closed(surf.inv, normalized, seg_ev)
-            numeric, numeric_status = _drall_numeric(surf.inv, normalized, seg_ev)
-            strict, strict_status = _striction(surf.inv, normalized, seg_ev)
+            numeric, numeric_codes, drift = _drall_numeric(surf.inv, normalized, seg_ev)
+            strict, strict_codes = _striction(surf.inv, normalized, seg_ev)
             verdicts.append(_verdict(surf, seg_ev, closed))
-            for s, value, degeneracy, num, num_degeneracy, num_error, offset, strict_error in zip(
-                points, closed.value, closed.degeneracy, numeric.value, numeric.degeneracy,
-                numeric_status, strict.offset, strict_status,
-            ):
-                if num_error is not None:
+            for i, s in enumerate(points):
+                value, degeneracy, num = closed.value[i], closed.degeneracy[i], numeric.value[i]
+                if numeric_codes[i] != _Code.OK:
                     numeric_txt = "error"
-                    warnings.append(f"direction {d_idx}: {num_error}")
+                    error = _error(numeric_codes[i], s=s, drift=drift[i])
+                    warnings.append(f"direction {d_idx}: {error}")
                 else:
                     numeric_txt = _fmt(num)
-                    if (
-                        degeneracy is Degeneracy.REGULAR
-                        and num_degeneracy is Degeneracy.REGULAR
-                        and abs(value - num) > MISMATCH_TOL * max(1.0, abs(num))
-                    ):
+                    regular = degeneracy is numeric.degeneracy[i] is Degeneracy.REGULAR
+                    if regular and abs(value - num) > MISMATCH_TOL * max(1.0, abs(num)):
                         warnings.append(
                             f"direction {d_idx}: closed/numeric drall disagree "
                             f"at s = {_fmt(s)} ({_fmt(value)} vs {_fmt(num)})"
@@ -191,11 +180,13 @@ def run_report(cfg: SceneConfig) -> ReportResult:
                     warnings.append(
                         f"direction {d_idx}: singular drall denominator at s = {_fmt(s)}"
                     )
-                if isinstance(strict_error, CylindricalRulingError):
+                offset, offset_closed = strict.offset[i], strict.offset_closed[i]
+                if strict_codes[i] == _Code.CYLINDRICAL:
                     strict_txt = "cylindrical"
-                elif strict_error is not None:
+                elif strict_codes[i] != _Code.OK:
                     strict_txt = "error"
-                    warnings.append(f"direction {d_idx}: {strict_error}")
+                    error = _error(strict_codes[i], s=s, offset=offset, offset_closed=offset_closed)
+                    warnings.append(f"direction {d_idx}: {error}")
                 else:
                     strict_txt = _fmt(offset)
                 lines.append(
@@ -203,18 +194,9 @@ def run_report(cfg: SceneConfig) -> ReportResult:
                     f"{degeneracy.value:>12} {strict_txt:>14}"
                 )
         developable = all(v.developable for v in verdicts)
-        reason = verdicts[0].reason
-        lines.append(
-            f"developable: {'yes' if developable else 'no'} ({reason})"
-        )
+        lines.append(f"developable: {'yes' if developable else 'no'} ({verdicts[0].reason})")
 
-    lines.append("")
-    lines.append("= warnings =")
-    if warnings:
-        for w in warnings:
-            lines.append(f"! {w}")
-    else:
-        lines.append("(none)")
+    lines += ["", "= warnings =", *([f"! {w}" for w in warnings] or ["(none)"])]
 
     text = "\n".join(lines) + "\n"
     return ReportResult(

@@ -20,21 +20,16 @@ import numpy as np
 from . import numdiff
 from .curves import (
     DerivativeMode,
-    _check,
+    _Code,
     _darboux,
+    _error,
     _general_helix,
-    _raise_first,
+    _raise_failed,
     _result,
     _samples,
-    _status,
     darboux_data,
 )
-from .errors import (
-    CylindricalRulingError,
-    DegenerateCoefficientError,
-    GeometryError,
-    NullDirectionError,
-)
+from .errors import DegenerateCoefficientError, NullDirectionError
 from .involute import (
     InvoluteCurve,
     InvoluteFrame,
@@ -298,21 +293,21 @@ def drall_numeric(surf: TrajectoryRuledSurface, s) -> DrallResult:
     frames there; the involute position is evaluated once on the same points.
     """
     ev = _darboux(surf.inv.base, _samples(s))
-    return _result(_raise_first(*_drall_numeric(surf.inv, _coefficients(surf), ev)), s)
+    numeric, codes, drift = _drall_numeric(surf.inv, _coefficients(surf), ev)
+    _raise_failed(codes != _Code.OK, codes, ev.s, drift=drift)
+    return _result(numeric, s)
 
 
 def _drall_numeric(inv: InvoluteCurve, coeffs: np.ndarray, ev):
-    """Determinant drall at ev.s and its per-sample status (curves._status):
-    a GeometryError where the involute velocity cross-check fails.
-    Coefficients of shape (3,) or one row per sample."""
+    """Determinant drall at ev.s, its codes (curves._Code: VELOCITY_DRIFT
+    where the involute velocity cross-check fails) and the drift the check
+    read. Coefficients of shape (3,) or one row per sample."""
     s = ev.s
     gdot = _velocity(inv, s, ev.fa)
     _, gdot_fd = numdiff.split(involute_point(inv, ev.points))
     drift = np.max(np.abs(gdot - gdot_fd), axis=-1)
     bound = 1e-4 * np.maximum(1.0, np.max(np.abs(gdot), axis=-1))
-    status = _status((drift > bound, GeometryError, lambda i: (
-        f"involute velocity cross-check failed at s = {s[i]} (drift {drift[i]})"
-    )))
+    codes = (_Code.VELOCITY_DRIFT * (drift > bound)).astype(np.int8)
     rows = np.tile(np.broadcast_to(coeffs, (s.size, 3)), (5, 1))
     x_here, xdot = numdiff.split(_ruling(rows, _frame(ev.rotation)))
     num = _triple(gdot, x_here, xdot)
@@ -325,7 +320,7 @@ def _drall_numeric(inv: InvoluteCurve, coeffs: np.ndarray, ev):
         * np.maximum(1.0, np.sqrt(xdot_sq)),
     )
     den_scale = np.maximum(1.0, xdot_sq)
-    return _classify_drall(num, den, num_scale, den_scale, TAU_DEV_FD), status
+    return _classify_drall(num, den, num_scale, den_scale, TAU_DEV_FD), codes, drift
 
 
 def normal_binormal_drall_ratio(inv: InvoluteCurve, s: float) -> float:
@@ -385,9 +380,7 @@ def _verdict(surf: TrajectoryRuledSurface, ev, res: DrallResult) -> Developabili
     n2 = n2[probed] / len2[probed, None]
     angles = np.arccos(np.minimum(1.0, np.abs(np.sum(n1 * n2, axis=-1))))
     max_angle = float(np.max(angles, initial=0.0))
-    _check(angles > 1e-3, GeometryError, lambda i: (
-        f"drall flags s = {s_dev[probed][i]} developable but ruling normals tilt by {angles[i]}"
-    ))
+    _raise_failed(angles > 1e-3, _Code.NORMAL_TILT, s_dev[probed], angle=angles)
     developable = bad == 0
     if not developable:
         reason = f"drall exceeds tolerance at {bad} of {n} samples"
@@ -529,35 +522,29 @@ def striction_point(surf: TrajectoryRuledSurface, s) -> StrictionPoint:
     involute position is evaluated once on the same points.
     """
     ev = _darboux(surf.inv.base, _samples(s))
-    return _result(_raise_first(*_striction(surf.inv, _coefficients(surf), ev)), s)
+    sp, codes = _striction(surf.inv, _coefficients(surf), ev)
+    _raise_failed(codes != _Code.OK, codes, ev.s, offset=sp.offset, offset_closed=sp.offset_closed)
+    return _result(sp, s)
 
 
 def _striction(inv: InvoluteCurve, coeffs: np.ndarray, ev):
-    """Striction points at ev.s and their per-sample status (curves._status):
-    a CylindricalRulingError where the closed X' is numerically null, else a
-    GeometryError where the two offsets disagree. Coefficients of shape (3,)."""
+    """Striction points at ev.s and their codes (curves._Code): CYLINDRICAL
+    where the closed X' is numerically null, else OFFSET_DISAGREE where the
+    two offsets disagree. Coefficients of shape (3,)."""
     s, dd = ev.s, ev.dd
     xdot_closed = _ruling_derivative(coeffs, ev)
     xx = _inner(xdot_closed, xdot_closed)
     null = np.abs(xx) <= DEGEN_TOL * np.maximum(1.0, dd.d_norm ** 2 + dd.theta_dot ** 2)
     gamma, gdot_fd = numdiff.split(involute_point(inv, ev.points))
     x_here, xdot_fd = numdiff.split(_ruling(coeffs, _frame(ev.rotation)))
-    # cylindrical samples divide by a null square; their status says so
+    # cylindrical samples divide by a null square; their code says so
     with np.errstate(divide="ignore", invalid="ignore"):
         offset = -_inner(gdot_fd, xdot_fd) / _inner(xdot_fd, xdot_fd)
         offset_closed = coeffs[1] * (inv.c_const - s) * ev.fa.kappa * dd.d_norm / xx
         disagree = np.abs(offset - offset_closed) > TAU_STRICT * np.maximum(1.0, np.abs(offset))
         point = gamma + offset[:, None] * x_here
-    status = _status(
-        (null, CylindricalRulingError, lambda i: (
-            f"striction undefined at s = {s[i]}: ruling derivative is numerically null"
-        )),
-        (disagree, GeometryError, lambda i: (
-            f"striction offsets disagree at s = {s[i]}: "
-            f"numeric {offset[i]} vs closed {offset_closed[i]}"
-        )),
-    )
-    return StrictionPoint(point=point, offset=offset, offset_closed=offset_closed), status
+    codes = np.select([null, disagree], [_Code.CYLINDRICAL, _Code.OFFSET_DISAGREE]).astype(np.int8)
+    return StrictionPoint(point=point, offset=offset, offset_closed=offset_closed), codes
 
 
 def base_is_striction(surf: TrajectoryRuledSurface, samples: Sequence[float]) -> bool:
@@ -569,10 +556,10 @@ def base_is_striction(surf: TrajectoryRuledSurface, samples: Sequence[float]) ->
     order, a failed striction check raises and an offset over TAU_STRICT gives False.
     """
     ev = _darboux(surf.inv.base, _samples(samples))
-    sp, status = _striction(surf.inv, _coefficients(surf), ev)
-    for error, offset in zip(status, sp.offset.tolist()):
-        if error is None and abs(offset) > TAU_STRICT:
+    sp, codes = _striction(surf.inv, _coefficients(surf), ev)
+    for i, code in enumerate(codes.tolist()):
+        if code == _Code.OK and abs(sp.offset[i]) > TAU_STRICT:
             return False
-        if error is not None and not isinstance(error, CylindricalRulingError):
-            raise error
+        if code not in (_Code.OK, _Code.CYLINDRICAL):
+            raise _error(code, s=ev.s[i], offset=sp.offset[i], offset_closed=sp.offset_closed[i])
     return True

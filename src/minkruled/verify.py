@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .config import polynomial
-from .curves import Curve, _darboux, _item, _raise_first, curve_from_curvature
+from .curves import Curve, _Code, _darboux, _item, _raise_failed, curve_from_curvature
 from .involute import InvoluteCurve
 from .surfaces import (
     Degeneracy,
@@ -188,7 +188,8 @@ def run_trials(
         scale = np.maximum(1.0, np.abs(closed.denominator) + np.abs(closed.numerator))
         ill = np.abs(closed.denominator) < min_denominator * scale
         kept = np.flatnonzero((closed.degeneracy != Degeneracy.REGULAR) | ~ill)
-        numeric = _raise_first(*_drall_numeric(inv, coeffs[kept], _darboux(curve, s[kept])))
+        numeric, codes, drift = _drall_numeric(inv, coeffs[kept], _darboux(curve, s[kept]))
+        _raise_failed(codes != _Code.OK, codes, s[kept], drift=drift)
         for j, i in enumerate(kept.tolist()):
             out.append(_trial(s_list[i], directions[i], _item(closed, i), _item(numeric, j)))
     return out

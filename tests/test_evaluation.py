@@ -2,10 +2,10 @@
 
 Every quantity at an array of s reads one evaluation of the base frame on
 the five-point stencil points of s (curves._darboux). The oracles return a
-per-sample status in place of raising, and the report builds its rows from
-those arrays. These tests pin the results against one public scalar call
-per sample, the error order of array calls, and the number of frame
-evaluations per operation.
+per-sample code array (curves._Code) in place of raising, and the report
+builds its rows from those arrays. These tests pin the results against one
+public scalar call per sample, the error order of array calls, the sample
+a frame error names, and the number of frame evaluations per operation.
 """
 
 import json
@@ -155,15 +155,19 @@ def drifting(curve, scale=1e-3):
     return mk.Curve(position, derivatives=derivatives, domain=curve.domain)
 
 
-def assert_status_matches_scalar_calls(status, call, s_list):
-    assert status.dtype == object and status.shape == (len(s_list),)
-    for error, s in zip(status, s_list):
+def assert_status_matches_scalar_calls(codes, values, call, s_list):
+    """codes: the int8 code per sample; values: the per-sample arrays its
+    messages read (curves._error)."""
+    assert codes.dtype == np.int8 and codes.shape == (len(s_list),)
+    for i, s in enumerate(s_list):
         try:
             call(s)
         except mk.GeometryError as exc:
+            assert codes[i] != curves._Code.OK, s
+            error = curves._error(codes[i], s=s, **{k: v[i] for k, v in values.items()})
             assert type(error) is type(exc) and str(error) == str(exc), s
         else:
-            assert error is None, s
+            assert codes[i] == curves._Code.OK, s
 
 
 @pytest.mark.parametrize("coeffs", [(0.8, 0.25, 0.7), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)])
@@ -176,17 +180,98 @@ def test_status_arrays_equal_scalar_calls(coeffs):
         surf = mk.general_surface(inv, *coeffs)
         x = surfaces._coefficients(surf)
         ev = _darboux(curve, s_arr)
-        _, numeric_status = surfaces._drall_numeric(inv, x, ev)
-        _, strict_status = surfaces._striction(inv, x, ev)
-        oracles = ((numeric_status, mk.drall_numeric), (strict_status, mk.striction_point))
-        for status, call in oracles:
-            assert_status_matches_scalar_calls(status, lambda s: call(surf, s), s_list)
+        _, numeric_codes, drift = surfaces._drall_numeric(inv, x, ev)
+        strict, strict_codes = surfaces._striction(inv, x, ev)
+        offsets = {"offset": strict.offset, "offset_closed": strict.offset_closed}
+        oracles = (
+            (numeric_codes, {"drift": drift}, mk.drall_numeric),
+            (strict_codes, offsets, mk.striction_point),
+        )
+        for codes, values, call in oracles:
+            assert_status_matches_scalar_calls(codes, values, lambda s: call(surf, s), s_list)
     # the drifting curve fails the velocity check at some samples only, and
     # the binormal ruling on the helix is cylindrical everywhere
-    drift_failures = sum(e is not None for e in numeric_status)
+    drift_failures = np.count_nonzero(numeric_codes)
     assert 0 < drift_failures < len(s_list)
     if coeffs == (0.0, 0.0, 1.0):
-        assert all(isinstance(e, mk.CylindricalRulingError) for e in strict_status)
+        assert np.all(strict_codes == curves._Code.CYLINDRICAL)
+
+
+def stated_domain(message):
+    lo, hi = message.split("usable domain [")[1].rstrip("]").split(", ")
+    return float(lo), float(hi)
+
+
+# (curve, s, the sample the error names): on [0, 1] the five-point stencil
+# about 1e-4 and 0.9999 leaves the domain although the samples are inside it
+STENCIL_EDGES = [
+    ("analytic", 1e-4, 1e-4),
+    ("analytic", [0.5, 0.9999], 0.9999),
+    ("finite-difference", 0.0003, 0.0003),
+]
+
+
+@pytest.mark.parametrize("curve_kind, s, named", STENCIL_EDGES)
+@pytest.mark.parametrize(
+    "call",
+    ["darboux_data", "drall_closed", "drall_numeric", "striction_point", "classify_developability"],
+)
+def test_domain_errors_name_the_callers_sample(curve_kind, s, named, call):
+    if curve_kind == "analytic":
+        curve = mk.helix_curve(2 / 3, 1 / 3, domain=(0.0, 1.0))
+    else:
+        curve = mk.Curve(mk.helix_curve(2 / 3, 1 / 3, domain=(0.0, 2.0)).point, domain=(0.0, 2.0))
+    surf = mk.general_surface(mk.InvoluteCurve(curve, 3.0, domain=curve.domain), 0.8, 0.25, 0.7)
+    calls = {
+        "darboux_data": lambda: mk.darboux_data(curve, s),
+        "drall_closed": lambda: mk.drall_closed(surf, s),
+        "drall_numeric": lambda: mk.drall_numeric(surf, s),
+        "striction_point": lambda: mk.striction_point(surf, s),
+        "classify_developability": lambda: mk.classify_developability(surf, np.atleast_1d(s)),
+    }
+    with pytest.raises(mk.OutOfDomainError, match=rf"^s = {named} outside") as info:
+        calls[call]()
+    lo, hi = stated_domain(str(info.value))
+    assert not lo <= named <= hi
+
+
+def broken_beyond(helix, order, change):
+    """The helix with r^(order)(s) replaced by change(s, r^(order)(s)) for s > 0.5."""
+    def evaluator(k):
+        def r(s):
+            value = helix.derivative(s, k)
+            return change(s, value) if k == order and s > 0.5 else value
+        return r
+
+    return mk.Curve(helix.point, [evaluator(k) for k in (1, 2, 3)], helix.domain, validate=False)
+
+
+def lightlike(helix):
+    # tau = -<r''', b>/kappa rises from 1/3 to 2/3 = kappa
+    return lambda s, d3: d3 - (2 / 9) * mk.frenet_apparatus(helix, s).b
+
+
+@pytest.mark.parametrize(
+    "order, change, error",
+    [
+        (1, lambda helix: lambda s, d1: 1.01 * d1, mk.NotUnitSpeedError),
+        (2, lambda helix: lambda s, d2: 0.0 * d2, mk.DegenerateFrameError),
+        (3, lightlike, mk.NullDarbouxError),
+    ],
+    ids=["unit-speed", "curvature", "lightlike"],
+)
+def test_frame_errors_fold_stencil_rows_to_the_callers_sample(order, change, error):
+    helix = mk.helix_curve(2 / 3, 1 / 3, domain=(-0.2, 1.2))
+    curve = broken_beyond(helix, order, change(helix))
+    # 0.4999 is intact but its stencil row 0.5001 is not; 0.8 fails itself
+    s = np.array([0.2, 0.4999, 0.8])
+    with pytest.raises(error, match=r"s = 0\.4999\b"):
+        mk.darboux_data(curve, s)
+    with pytest.raises(error, match=r"s = 0\.8\b"):
+        mk.darboux_data(curve, s[[0, 2]])
+    if order < 3:  # the frame alone is evaluated on the samples only
+        with pytest.raises(error, match=r"s = 0\.8\b"):
+            mk.frenet_apparatus(curve, s)
 
 
 @pytest.fixture(scope="module")
@@ -279,14 +364,16 @@ def test_base_is_striction_statuses_equal_per_sample_reference(half_helix_binorm
 
 @pytest.fixture
 def frame_calls(monkeypatch):
+    # every frame evaluation, public (frenet_apparatus) or of a _darboux
+    # stencil, is one curves._frenet call
     calls = {"frenet": 0}
-    original = curves.frenet_apparatus
+    original = curves._frenet
 
     def counted(*args, **kwargs):
         calls["frenet"] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(curves, "frenet_apparatus", counted)
+    monkeypatch.setattr(curves, "_frenet", counted)
     return calls
 
 

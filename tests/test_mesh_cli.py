@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,16 @@ class TestConfig:
         with pytest.raises(mk.ConfigError, match="line 2"):
             mk.load_config(str(path))
 
+    def test_null_direction_is_a_config_error(self, tmp_path, capsys):
+        path = helix_config(tmp_path, directions=[[1, 0, 0], [1, 1, 0]])
+        with pytest.raises(mk.ConfigError, match=r"^directions\[1\]: .*vanishing frame square"):
+            mk.load_config(path)
+        for command in ("report", "mesh", "verify"):
+            assert cli.main([command, path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("config error: directions[1]: ")
+
     def test_split_range(self):
         pieces = mk.split_range((0.0, math.pi), 1.0, 0.01)
         assert pieces[0] == (0.0, 0.99)
@@ -320,6 +331,22 @@ class TestCli:
         path = helix_config(tmp_path, grid=[1, 2])
         assert cli.main(["report", path]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["report", "mesh", "verify"])
+    def test_stiff_prescription_is_an_integration_error(self, tmp_path, capsys, command):
+        # kappa = 100: the RK4 step turns the normal lightlike and Gram-Schmidt
+        # cannot renormalize it
+        path = helix_config(
+            tmp_path,
+            curve={"kappa": {"poly": [100.0]}, "tau": {"poly": [30.0]}},
+            c=0.4,
+            s_range=[0.0, 0.8],
+            samples=4,
+        )
+        assert cli.main([command, path]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \w+ is no longer spacelike near s = \S+\n", err)
+        assert "Traceback" not in err
 
     def test_degenerate_scene_exit_code(self, tmp_path, capsys):
         # near-helix with a binormal ruling: the drall denominator is
