@@ -79,11 +79,21 @@ def _cmd_verify(args) -> int:
         except ValueError:
             print(f"error: MINKRULED_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
             return 2
+        if seed < 0:
+            print(
+                f"error: MINKRULED_SEED must be a non-negative integer, got {env_seed!r}",
+                file=sys.stderr,
+            )
+            return 2
     curve = build_curve(cfg)
     segments = split_range(cfg.s_range, cfg.c_const, cfg.cusp_margin)
     window = max(segments, key=lambda p: p[1] - p[0])
     rng = np.random.default_rng(seed)
-    trials = run_trials(curve, cfg.c_const, window, rng, args.trials)
+    try:
+        trials = run_trials(curve, cfg.c_const, window, rng, args.trials)
+    except RuntimeError as exc:  # too few well-conditioned draws: a degenerate scene
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     worst = max(t.rel_err for t in trials)
     failures = [t for t in trials if not t.agree]
     print(f"trials: {len(trials)}  seed: {seed}  window: [{window[0]:.9g}, {window[1]:.9g}]")
@@ -107,14 +117,19 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(minimum: int, what: str):
+    """argparse type: an integer of at least minimum, else a usage error naming what."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {value}")
+        return value
+
+    return parse
 
 
 def main(argv=None) -> int:
@@ -139,8 +154,8 @@ def main(argv=None) -> int:
         "verify", help="randomized closed-form vs determinant drall cross-check"
     )
     p_verify.add_argument("config", help="path to a JSON scene file")
-    p_verify.add_argument("--trials", type=_positive_int, default=50)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--trials", type=_int_at_least(1, "positive"), default=50)
+    p_verify.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=0)
     p_verify.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)

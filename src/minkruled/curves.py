@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -162,10 +163,10 @@ class Curve:
     them differentiation falls back to five-point stencils, which shrinks
     the usable parameter window by the stencil half-width.
 
-    The evaluators are called with one float at a time, so they may use
-    math.*. point and derivative take a float s, giving a (3,) result, or a
-    1-D array of N samples, giving (N, 3): one evaluator call per sample,
-    the stack checked once for shape and finiteness.
+    These evaluators take one float at a time, so they may use math.*;
+    built-in curves such as helix_curve evaluate arrays of s. point and
+    derivative take a float s, giving a (3,) result, or a 1-D array of N
+    samples, giving (N, 3), checked once for shape and finiteness.
 
     The unit-speed timelike property <r', r'> = -1 is validated on a sample
     grid at construction and again wherever a frame is computed; it is never
@@ -179,68 +180,74 @@ class Curve:
         domain: tuple[float, float] = (0.0, 1.0),
         validate: bool = True,
     ):
-        self._position = position
-        self._derivatives = tuple(derivatives) if derivatives else ()
-        if len(self._derivatives) > 3:
+        evaluators = (position, *(derivatives or ()))
+        if len(evaluators) > 4:
             raise ValueError("at most three derivative evaluators are supported")
+        self._init(tuple(functools.partial(_per_sample, fn) for fn in evaluators), domain, validate)
+
+    @classmethod
+    def _from_jets(cls, jets: tuple, domain: tuple[float, float]) -> Curve:
+        """A curve whose jets[k] maps a 1-D array of s to the (N, 3) array of r^(k)."""
+        curve = cls.__new__(cls)
+        curve._init(jets, domain, validate=True)
+        return curve
+
+    def _init(self, jets: tuple, domain: tuple[float, float], validate: bool) -> None:
+        self._jets = jets
         lo, hi = float(domain[0]), float(domain[1])
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
             raise ValueError("domain must be a finite interval with s_min < s_max")
         self.domain = (lo, hi)
         if validate:
-            self._validate_unit_speed()
+            margin = 0.0 if len(jets) > 1 else numdiff.stencil_halfwidth(1)
+            grid = np.linspace(lo + margin, hi - margin, VALIDATION_SAMPLES)
+            _require_unit_speed(self.derivative(grid, 1), grid)
 
     @property
     def derivative_mode(self) -> DerivativeMode:
-        if self._derivatives:
-            return DerivativeMode.ANALYTIC
-        return DerivativeMode.FINITE_DIFFERENCE
+        return DerivativeMode.ANALYTIC if len(self._jets) > 1 else DerivativeMode.FINITE_DIFFERENCE
 
     def point(self, s) -> np.ndarray:
         s_arr = _samples(s)
         self._require(s_arr, 0)
-        return _result(_stack(self._position, s_arr), s)
+        return _result(self._evaluate(s_arr, 0), s)
 
     def derivative(self, s, order: int) -> np.ndarray:
         if order not in (1, 2, 3):
             raise ValueError("derivative order must be 1, 2 or 3")
         s_arr = _samples(s)
-        if self._derivatives:
-            if order > len(self._derivatives):
-                raise MissingDerivativeError(
-                    f"no analytic evaluator for derivative order {order}"
-                )
-            self._require(s_arr, 0)
-            return _result(_stack(self._derivatives[order - 1], s_arr), s)
         self._require(s_arr, order)
-        return _result(numdiff.derivative(lambda u: _stack(self._position, u), s_arr, order), s)
+        return _result(self._evaluate(s_arr, order), s)
+
+    def _evaluate(self, s: np.ndarray, order: int) -> np.ndarray:
+        """r^(order) at the 1-D array s, without a domain check."""
+        if order < len(self._jets):
+            out = self._jets[order](s)
+        elif len(self._jets) == 1:
+            out = numdiff.derivative(self._jets[0], s, order)
+        else:
+            raise MissingDerivativeError(f"no analytic evaluator for derivative order {order}")
+        if out.shape != (s.size, 3):
+            raise ValueError(f"curve evaluators must return 3-vectors, got shape {out.shape[1:]}")
+        if not np.all(np.isfinite(out)):
+            raise ValueError("vector components must be finite")
+        return out
 
     def _require(self, s: np.ndarray, order: int, reach: float = 0.0) -> None:
         """Domain check at s for derivatives up to order, with s +- reach inside too."""
         lo, hi = self.domain
         margin = reach
-        if order > 0 and not self._derivatives:
+        if order > 0 and len(self._jets) == 1:
             margin += numdiff.stencil_halfwidth(order)
         tol = 1e-12 * max(1.0, abs(lo), abs(hi))
         bad = (s < lo + margin - tol) | (s > hi - margin + tol)
         _raise_failed(bad, _Code.OUT_OF_DOMAIN, s, lo=lo + margin, hi=hi - margin)
 
-    def _validate_unit_speed(self) -> None:
-        lo, hi = self.domain
-        margin = 0.0 if self._derivatives else numdiff.stencil_halfwidth(1)
-        grid = np.linspace(lo + margin, hi - margin, VALIDATION_SAMPLES)
-        _require_unit_speed(self.derivative(grid, 1), grid)
 
-
-def _stack(fn: Callable[[float], np.ndarray], s: np.ndarray) -> np.ndarray:
-    # The only loop over s in the frame stack: evaluators take one float.
+def _per_sample(fn: Callable[[float], np.ndarray], s: np.ndarray) -> np.ndarray:
+    # The only loop over s: a user evaluator takes one float at a time.
     rows = [fn(u) for u in s.tolist()]
-    out = np.array(rows, dtype=float) if rows else np.empty((0, 3))
-    if out.shape != (s.size, 3):
-        raise ValueError(f"curve evaluators must return 3-vectors, got shape {out.shape[1:]}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError("vector components must be finite")
-    return out
+    return np.array(rows, dtype=float) if rows else np.empty((0, 3))
 
 
 @dataclass(frozen=True)
@@ -282,8 +289,10 @@ def frenet_apparatus(curve: Curve, s) -> FrenetApparatus:
 
 
 def _frenet(curve: Curve, s: np.ndarray, points: np.ndarray | None = None) -> FrenetApparatus:
-    """The frame at the samples s, or at points, k per sample as for _raise_failed."""
-    d1, d2, d3 = (curve.derivative(s if points is None else points, k) for k in (1, 2, 3))
+    """The frame at the samples s, domain-checked, or at points, k per sample as
+    for _raise_failed, which the caller has checked."""
+    evaluate, at = (curve.derivative, s) if points is None else (curve._evaluate, points)
+    d1, d2, d3 = (evaluate(at, k) for k in (1, 2, 3))
     _require_unit_speed(d1, s)
     kappa = np.sqrt(np.maximum(_inner(d2, d2), 0.0))
     _raise_failed(kappa < KAPPA_MIN, _Code.DEGENERATE_FRAME, s, kappa=kappa)
@@ -546,23 +555,20 @@ def helix_curve(
     # under the determinant +1 frame orientation.
     alpha = -tau / w if timelike else tau / w
 
-    def jet(k: int) -> Callable[[float], np.ndarray]:
-        # r^(k): scales[k] times the profile pair at u = w s turned k times,
-        # (sinh, cosh) by swaps and (cos, sin) by quarter-turns (p, q) -> (-q, p),
-        # with the linear part's own derivative. The turns are sign flips,
-        # which are exact, and are taken once per order rather than per call.
-        f, g = (math.cos, math.sin) if timelike else (math.sinh, math.cosh)
+    def jet(k: int) -> Callable[[np.ndarray], np.ndarray]:
+        # r^(k) at an array of s: scales[k] times the profile pair at u = w s turned
+        # k times, (sinh, cosh) by swaps and (cos, sin) by quarter-turns (p, q) -> (-q, p),
+        # with the linear part's own derivative. The turns are exact sign flips.
+        f, g = (np.cos, np.sin) if timelike else (np.sinh, np.cosh)
         a = b = scales[k]  # the signed scales of f and g
         for _ in range(k):
             f, g, a, b = (g, f, -b, a) if timelike else (g, f, b, a)
-        slope = alpha if k == 1 else 0.0
 
-        def r(s: float) -> np.ndarray:
-            u = w * s
-            line = alpha * s if k == 0 else slope
-            p, q = a * f(u), b * g(u)
-            return np.array([line, p, q] if timelike else [p, q, line])
+        def r(s: np.ndarray) -> np.ndarray:
+            line = alpha * s if k == 0 else np.full_like(s, alpha if k == 1 else 0.0)
+            p, q = a * f(w * s), b * g(w * s)
+            return np.stack([line, p, q] if timelike else [p, q, line], axis=1)
 
         return r
 
-    return Curve(position=jet(0), derivatives=(jet(1), jet(2), jet(3)), domain=domain)
+    return Curve._from_jets(tuple(jet(k) for k in range(4)), domain)

@@ -8,13 +8,13 @@ form against the finite-difference determinant at the stated tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .config import polynomial
-from .curves import Curve, _Code, _darboux, _item, _raise_failed, curve_from_curvature
+from .curves import Curve, _Code, _darboux, _raise_failed, curve_from_curvature
 from .involute import InvoluteCurve
 from .surfaces import (
     Degeneracy,
@@ -123,6 +123,13 @@ def build_case2_curve(
     raise RuntimeError(f"no case-2 curve on {domain} within {MAX_DRAWS} draws")
 
 
+def _rows(result: DrallResult, index=slice(None)) -> list[DrallResult]:
+    """The results of the samples index of an array result, with plain float
+    and bool fields: one tolist per field rather than one conversion per value."""
+    columns = (getattr(result, f.name)[index].tolist() for f in fields(result))
+    return [DrallResult(*row) for row in zip(*columns)]
+
+
 def _trial(
     s: float, direction: RulingDirection, closed: DrallResult, numeric: DrallResult
 ) -> OracleTrial:
@@ -190,6 +197,6 @@ def run_trials(
         kept = np.flatnonzero((closed.degeneracy != Degeneracy.REGULAR) | ~ill)
         numeric, codes, drift = _drall_numeric(inv, coeffs[kept], _darboux(curve, s[kept]))
         _raise_failed(codes != _Code.OK, codes, s[kept], drift=drift)
-        for j, i in enumerate(kept.tolist()):
-            out.append(_trial(s_list[i], directions[i], _item(closed, i), _item(numeric, j)))
+        for i, closed_row, numeric_row in zip(kept.tolist(), _rows(closed, kept), _rows(numeric)):
+            out.append(_trial(s_list[i], directions[i], closed_row, numeric_row))
     return out

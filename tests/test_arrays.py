@@ -8,15 +8,20 @@ causal branch must be chosen per sample.
 
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import minkruled as mk
-from minkruled import surfaces
+from minkruled import curves, surfaces
+from minkruled.config import build_curve, load_config
 from minkruled.curves import _darboux
 from minkruled.lorentz import CausalClass
+from minkruled.mesh import sample_grid
+from minkruled.report import run_report
+from minkruled.verify import run_trials
 
 TOL = 1e-12
 
@@ -184,3 +189,20 @@ def test_per_row_coefficient_kernels_match_per_surface_calls(cases, case, data):
         surfaces._drall_numeric(inv, coeffs, _darboux(curve, s_arr))[0],
         [mk.drall_numeric(surf, s) for surf, s in zip(surfs, s_arr.tolist())],
     )
+
+
+def test_builtin_helix_never_enters_the_per_sample_loop(monkeypatch):
+    def refuse(fn, s):
+        raise AssertionError("per-sample loop entered")
+
+    monkeypatch.setattr(curves, "_per_sample", refuse)
+    # a curve from one-float evaluators goes through the loop
+    with pytest.raises(AssertionError, match="per-sample"):
+        mk.Curve(lambda s: np.array([s, 0.0, 0.0]), (lambda s: np.array([1.0, 0.0, 0.0]),))
+    cfg = load_config(str(pathlib.Path(__file__).parent / "golden" / "helix_scene.json"))
+    curve = build_curve(cfg)
+    mk.darboux_data(curve, np.linspace(0.1, 3.0, 7))
+    inv = mk.InvoluteCurve(curve, cfg.c_const, domain=(0.0, 0.98))
+    sample_grid(mk.general_surface(inv, 0.8, 0.25, 0.7), (0.0, 0.98), (-2.0, 2.0), 6, 3)
+    assert len(run_trials(curve, cfg.c_const, (1.01, math.pi), np.random.default_rng(4), 20)) == 20
+    assert run_report(cfg).exit_code == 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import minkruled as mk
 from minkruled import Causality, curves, numdiff
@@ -28,6 +29,29 @@ def timelike_line(domain=(-1.0, 1.0)):
         ),
         domain=domain,
     )
+
+
+def written_out_helix(kappa, tau, s):
+    """Position and derivatives 1-3 of the helix family at the float s, from math.*,
+    grouped as beta, beta w, beta w w and beta w^3 times the profile functions."""
+    gap = kappa * kappa - tau * tau
+    w = math.sqrt(abs(gap))
+    beta = kappa / (w * w)
+    if gap > 0.0:
+        ch, sh, a = math.cosh(w * s), math.sinh(w * s), tau / w
+        return [
+            [beta * sh, beta * ch, a * s],
+            [beta * w * ch, beta * w * sh, a],
+            [beta * w * w * sh, beta * w * w * ch, 0.0],
+            [beta * w ** 3 * ch, beta * w ** 3 * sh, 0.0],
+        ]
+    c, n, a = math.cos(w * s), math.sin(w * s), -tau / w
+    return [
+        [a * s, beta * c, beta * n],
+        [a, -beta * w * n, beta * w * c],
+        [0.0, -beta * w * w * c, -beta * w * w * n],
+        [0.0, beta * w ** 3 * n, -beta * w ** 3 * c],
+    ]
 
 
 class TestDerivatives:
@@ -330,30 +354,48 @@ class TestHelixConstructor:
         "kappa,tau", [(1.2, 0.5), (2 / 3, -1 / 3), (0.4, 1.1), (1 / 3, -2 / 3)]
     )
     def test_jet_equals_the_written_out_families(self, kappa, tau):
-        # position and derivatives 1-3 of each family, grouped as beta,
-        # beta w, beta w w and beta w^3 times the profile functions; exact
-        gap = kappa * kappa - tau * tau
-        w = math.sqrt(abs(gap))
-        beta = kappa / (w * w)
+        # exact at these points
         h = mk.helix_curve(kappa, tau, domain=(-1.0, 2.0))
         for s in (-0.7, 0.0, 0.3, 1.9):
-            ch, sh, c, n = math.cosh(w * s), math.sinh(w * s), math.cos(w * s), math.sin(w * s)
-            if gap > 0.0:
-                a = tau / w
-                want = [
-                    [beta * sh, beta * ch, a * s],
-                    [beta * w * ch, beta * w * sh, a],
-                    [beta * w * w * sh, beta * w * w * ch, 0.0],
-                    [beta * w ** 3 * ch, beta * w ** 3 * sh, 0.0],
-                ]
-            else:
-                a = -tau / w
-                want = [
-                    [a * s, beta * c, beta * n],
-                    [a, -beta * w * n, beta * w * c],
-                    [0.0, -beta * w * w * c, -beta * w * w * n],
-                    [0.0, beta * w ** 3 * n, -beta * w ** 3 * c],
-                ]
+            want = written_out_helix(kappa, tau, s)
             got = [h.point(s)] + [h.derivative(s, k) for k in (1, 2, 3)]
             for k in range(4):
                 assert got[k].tolist() == want[k], (s, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kappa=st.floats(0.2, 2.0),
+    # |tau|/kappa below 1 (spacelike rotation vector) or above it (timelike)
+    ratio=st.one_of(st.floats(0.0, 0.9), st.floats(1.1, 3.0)),
+    sign=st.sampled_from([1.0, -1.0]),
+    s_list=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+)
+def test_array_jets_match_the_math_families(kappa, ratio, sign, s_list):
+    # numpy and math sinh/cosh/sin/cos differ by at most a few 1e-16 relative
+    tau = sign * ratio * kappa
+    h = mk.helix_curve(kappa, tau, domain=(-3.0, 3.0))
+    s = np.array(s_list)
+    got = [h.point(s)] + [h.derivative(s, k) for k in (1, 2, 3)]
+    want = np.array([written_out_helix(kappa, tau, u) for u in s_list])
+    for k in range(4):
+        bound = 2e-15 * np.maximum(1.0, np.abs(want[:, k]))
+        assert np.all(np.abs(got[k] - want[:, k]) <= bound), k
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_one_domain_check_per_darboux_evaluation(helix, monkeypatch, analytic):
+    curve = helix if analytic else mk.Curve(position=helix_position, domain=helix.domain)
+    calls = []
+    require = mk.Curve._require
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return require(self, *args, **kwargs)
+
+    monkeypatch.setattr(mk.Curve, "_require", counted)
+    mk.darboux_data(curve, np.array([0.3, 1.0, 2.5]))
+    assert len(calls) == 1
+    with pytest.raises(mk.OutOfDomainError):
+        mk.darboux_data(curve, np.array([0.3, 10.0]))
+    assert len(calls) == 2

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -154,3 +155,33 @@ def test_rejection_loop_is_bounded(build):
     rng = np.random.default_rng(7)
     with pytest.raises(RuntimeError, match=f"within {verify.MAX_DRAWS} draws"):
         build(rng, domain=(1e20, 2e20))
+
+
+def test_cli_rejects_a_negative_seed_with_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", SCENE, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+def test_negative_env_seed_goes_to_stderr(monkeypatch, capsys):
+    monkeypatch.setenv("MINKRULED_SEED", "-3")
+    code = cli.main(["verify", SCENE, "--trials", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: MINKRULED_SEED must be a non-negative integer, got '-3'\n"
+
+
+def test_scene_without_well_conditioned_trials_is_an_error_not_a_traceback(tmp_path, capsys):
+    # kappa = 1, tau = 0.999: the rotation vector is near-null everywhere and
+    # too few draws pass the closed-form denominator filter
+    scene = json.loads((GOLDEN / "prescribed_scene.json").read_text())
+    scene["curve"] = {"kappa": {"poly": [1.0]}, "tau": {"poly": [0.999]}}
+    path = tmp_path / "near_null.json"
+    path.write_text(json.dumps(scene))
+    code = cli.main(["verify", str(path), "--trials", "20"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: could not find enough well-conditioned trials\n"
+    assert "Traceback" not in captured.err
