@@ -191,7 +191,18 @@ def test_per_row_coefficient_kernels_match_per_surface_calls(cases, case, data):
     )
 
 
-def test_builtin_helix_never_enters_the_per_sample_loop(monkeypatch):
+# scene, darboux samples, involute grid range, trial range: each off the cusp at s = c
+@pytest.mark.parametrize(
+    "scene, s_span, grid_range, trial_range",
+    [
+        ("helix_scene.json", (0.1, 3.0), (0.0, 0.98), (1.01, math.pi)),
+        ("prescribed_scene.json", (0.05, 0.75), (0.0, 0.38), (0.42, 0.8)),
+    ],
+    ids=["helix", "synthesized"],
+)
+def test_helix_and_synthesized_curves_never_enter_the_per_sample_loop(
+    monkeypatch, scene, s_span, grid_range, trial_range
+):
     def refuse(fn, s):
         raise AssertionError("per-sample loop entered")
 
@@ -199,10 +210,10 @@ def test_builtin_helix_never_enters_the_per_sample_loop(monkeypatch):
     # a curve from one-float evaluators goes through the loop
     with pytest.raises(AssertionError, match="per-sample"):
         mk.Curve(lambda s: np.array([s, 0.0, 0.0]), (lambda s: np.array([1.0, 0.0, 0.0]),))
-    cfg = load_config(str(pathlib.Path(__file__).parent / "golden" / "helix_scene.json"))
+    cfg = load_config(str(pathlib.Path(__file__).parent / "golden" / scene))
     curve = build_curve(cfg)
-    mk.darboux_data(curve, np.linspace(0.1, 3.0, 7))
-    inv = mk.InvoluteCurve(curve, cfg.c_const, domain=(0.0, 0.98))
-    sample_grid(mk.general_surface(inv, 0.8, 0.25, 0.7), (0.0, 0.98), (-2.0, 2.0), 6, 3)
-    assert len(run_trials(curve, cfg.c_const, (1.01, math.pi), np.random.default_rng(4), 20)) == 20
+    mk.darboux_data(curve, np.linspace(*s_span, 7))
+    inv = mk.InvoluteCurve(curve, cfg.c_const, domain=grid_range)
+    sample_grid(mk.general_surface(inv, 0.8, 0.25, 0.7), grid_range, (-2.0, 2.0), 6, 3)
+    assert len(run_trials(curve, cfg.c_const, trial_range, np.random.default_rng(4), 20)) == 20
     assert run_report(cfg).exit_code == 0

@@ -6,6 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import minkruled as mk
 from minkruled import Causality, curves, numdiff
+from minkruled.config import build_curve, load_config
+from minkruled.lorentz import _inner
+
+from test_golden import GOLDEN
 
 RT3 = math.sqrt(3.0)
 
@@ -278,6 +282,38 @@ class TestCurveSynthesis:
         for s in (0.3, 0.7, 1.2):
             fa = mk.frenet_apparatus(c, s)
             assert fa.tau / fa.kappa == pytest.approx(math.tanh(s) / 2, abs=1e-6)
+
+    def test_interpolant_and_kappa_rate_accuracy(self):
+        # <r''', n> = kappa' reads the kappa' source: a second-order difference
+        # is off by ~6e-7 here, a fourth-order one by rounding
+        c = mk.curve_from_curvature(
+            lambda s: 1.0 + 0.2 * s + 0.1 * s * s - 0.3 * s ** 3,
+            lambda s: 0.3 - 0.1 * s,
+            domain=(0.0, 0.8),
+        )
+        s = np.linspace(0.0, 0.8, 401)
+        fa = mk.frenet_apparatus(c, s)
+        kappa_dot = 0.2 + 0.2 * s - 0.9 * s * s
+        assert np.max(np.abs(_inner(c.derivative(s, 3), fa.n) - kappa_dot)) <= 1e-10
+        assert np.max(np.abs(fa.tau - (0.3 - 0.1 * s))) <= 1e-12
+        # between the integration nodes the frame keeps unit speed and the
+        # prescription to rounding
+        cfg = load_config(str(GOLDEN / "prescribed_scene.json"))
+        golden = build_curve(cfg)
+        s = np.linspace(*golden.domain, 2003)
+        fa = mk.frenet_apparatus(golden, s)
+        d1 = golden.derivative(s, 1)
+        assert np.max(np.abs(_inner(d1, d1) + 1.0)) <= 1e-13
+        assert np.max(np.abs(fa.kappa - [cfg.curve.kappa(u) for u in s])) <= 1e-13
+        assert np.max(np.abs(fa.tau - [cfg.curve.tau(u) for u in s])) <= 1e-13
+
+    def test_fewer_than_five_nodes(self):
+        # three steps: kappa' comes from np.gradient, exact for a linear kappa
+        c = mk.curve_from_curvature(lambda s: 1.0 + 0.2 * s, lambda s: 0.3, domain=(0.0, 0.003))
+        s = np.linspace(0.0, 0.003, 7)
+        fa = mk.frenet_apparatus(c, s)
+        assert np.max(np.abs(_inner(c.derivative(s, 3), fa.n) - 0.2)) <= 1e-10
+        assert np.max(np.abs(fa.tau - 0.3)) <= 1e-12
 
     def test_matches_closed_form_helix(self, helix):
         # independent integrator check against the closed-form curve with the

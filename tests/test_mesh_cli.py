@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -363,3 +367,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 3
         assert "singular" in out
+
+
+# A fresh interpreter: a module imported by an earlier test would show up.
+NO_SCIPY = """
+import sys
+import minkruled.cli
+from minkruled.config import build_curve, load_config
+from minkruled.report import run_report
+
+cfg = load_config(sys.argv[1])
+build_curve(cfg)
+run_report(cfg)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_path_imports_no_scipy():
+    src = pathlib.Path(mk.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(GOLDEN / "prescribed_scene.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
