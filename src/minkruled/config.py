@@ -17,7 +17,7 @@ import numpy as np
 
 from .curves import Curve, curve_from_curvature, helix_curve
 from .errors import ConfigError, NullDirectionError
-from .involute import EPS_CUSP
+from .involute import EPS_CUSP, split_range
 from .surfaces import make_direction
 
 __all__ = [
@@ -241,20 +241,6 @@ def load_config(path: str) -> SceneConfig:
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     return parse_config(raw)
-
-
-def split_range(
-    s_range: tuple[float, float], c: float, margin: float
-) -> list[tuple[float, float]]:
-    """Sub-intervals of s_range with the cusp window (c - margin, c + margin)
-    removed. Returns [] when nothing survives."""
-    lo, hi = s_range
-    pieces = []
-    if lo < c - margin:
-        pieces.append((lo, min(hi, c - margin)))
-    if hi > c + margin:
-        pieces.append((max(lo, c + margin), hi))
-    return [(a, b) for a, b in pieces if b - a > 1e-12]
 
 
 def build_curve(cfg: SceneConfig) -> Curve:

@@ -2,9 +2,9 @@
 
 Covers differentiation of parametric curves, the moving orthonormal frame
 {t, n, b} with curvature and torsion, the rotation (Darboux) vector with its
-hyperbolic angle split, general-helix detection, closed-form helices, and
-synthesis of curves from prescribed curvature and torsion by integrating the
-frame equations.
+hyperbolic angle split, the involute frame rotated by that angle,
+general-helix detection, closed-form helices, and synthesis of curves from
+prescribed curvature and torsion by integrating the frame equations.
 """
 
 from __future__ import annotations
@@ -86,6 +86,12 @@ def _result(value, s):
     return value if np.ndim(s) > 0 else _item(value, 0)
 
 
+def _joined(values: list):
+    """Array results of one dataclass type, stacked sample by sample."""
+    fields = dataclasses.fields(values[0])
+    return type(values[0])(*(np.concatenate([getattr(v, f.name) for v in values]) for f in fields))
+
+
 def _item(value, i):
     """Sample i of an array result, typed as for a float s; for a slice i,
     the rows of i of every field."""
@@ -106,6 +112,9 @@ _FAILURES = {
     ),
     "DEGENERATE_FRAME": (
         DegenerateFrameError, f"curvature {{kappa}} below {KAPPA_MIN} at s = {{s}}"
+    ),
+    "FLAT_PRESCRIPTION": (
+        DegenerateFrameError, f"prescribed curvature {{kappa}} below {KAPPA_MIN} at s = {{s}}"
     ),
     "LIGHTLIKE_ROTATION": (
         NullDarbouxError, "rotation vector lightlike at s = {s} (kappa = {kappa}, tau = {tau})"
@@ -343,17 +352,45 @@ def _rotation(curve: Curve, s: np.ndarray, points: np.ndarray | None = None):
 
 
 @dataclass(frozen=True)
+class InvoluteFrame:
+    """Frame {t*, n*, b*} of the involute, rotated off the base frame.
+
+    t* equals the base normal in both cases. With a spacelike rotation
+    vector the signature is (<t*,t*>, <n*,n*>, <b*,b*>) = (+1, -1, +1); with
+    a timelike one the hyperbolic rotation lands on (+1, +1, -1) instead.
+    The frame does not depend on the involute constant c. For an array of s
+    the vectors are (N, 3) and d_case is an object array of CausalClass.
+    """
+
+    t_star: np.ndarray
+    n_star: np.ndarray
+    b_star: np.ndarray
+    d_case: CausalClass
+
+
+def _frame(rotation) -> InvoluteFrame:
+    """Involute frame from the rotation data of _rotation."""
+    fa, _, causal, _, theta = rotation
+    ch = np.cosh(theta)[:, None]
+    sh = np.sinh(theta)[:, None]
+    spacelike = (causal == SPACELIKE_INDEX)[:, None]
+    n_star = np.where(spacelike, -ch * fa.t + sh * fa.b, sh * fa.t - ch * fa.b)
+    b_star = np.where(spacelike, -sh * fa.t + ch * fa.b, -ch * fa.t + sh * fa.b)
+    return InvoluteFrame(fa.n, n_star, b_star, CAUSAL_CLASSES[causal])
+
+
+@dataclass(frozen=True)
 class _Evaluation:
     """One _rotation call on the 5N points numdiff.stencil(s) of a 1-D array
-    s: the frame, spacelike mask and DarbouxData at s, and the raw rotation
-    data on all 5N points, from which the oracles take their stencils."""
+    s: the frame, spacelike mask and DarbouxData at s, and the involute frame
+    on all 5N points, the one the kernels take X and its stencils from."""
 
     s: np.ndarray
     fa: FrenetApparatus
     spacelike: np.ndarray
     dd: DarbouxData
     points: np.ndarray
-    rotation: tuple
+    frame: InvoluteFrame
 
 
 def _darboux(curve: Curve, s: np.ndarray) -> _Evaluation:
@@ -365,7 +402,7 @@ def _darboux(curve: Curve, s: np.ndarray) -> _Evaluation:
     fa, d, causal, d_norm, _ = (_item(x, slice(s.size)) for x in rotation)
     theta, theta_dot = numdiff.split(rotation[4])
     dd = DarbouxData(d, CAUSAL_CLASSES[causal], d_norm, theta, theta_dot, d / d_norm[:, None])
-    return _Evaluation(s, fa, causal == SPACELIKE_INDEX, dd, points, rotation)
+    return _Evaluation(s, fa, causal == SPACELIKE_INDEX, dd, points, _frame(rotation))
 
 
 def darboux_data(curve: Curve, s) -> DarbouxData:
@@ -432,15 +469,21 @@ def curve_from_curvature(
     """Synthesize a unit-speed timelike curve with prescribed kappa and tau.
 
     Integrates r' = t together with the frame equations by a classical
-    fixed-step fourth-order scheme (step never above ODE_STEP) and applies a
-    Lorentzian Gram-Schmidt pass after every step: t is renormalized to
-    <t,t> = -1 first, then n and b are projected and renormalized. A cubic
-    Hermite interpolant of r, t, n and b with the frame equations as node
-    slopes (the RK dense output of Hairer, Norsett & Wanner, Solving ODEs I,
-    II.6) is exact at the nodes, with a cell error near h^4/384 |y^(4)|,
-    below that of the steps. The curve evaluates arrays of s; its
-    r''' = kappa^2 t + kappa' n - kappa tau b takes kappa and tau from the
-    prescription and kappa' from five-point differences at the nodes.
+    fixed-step fourth-order scheme (at least four steps, none above ODE_STEP)
+    and applies a Lorentzian Gram-Schmidt pass after every step: t is
+    renormalized to <t,t> = -1 first, then n and b are projected and
+    renormalized. A cubic Hermite interpolant of r, t, n and b with the
+    frame equations as node slopes (the RK dense output of Hairer, Norsett
+    & Wanner, Solving ODEs I, II.6) is exact at the nodes, with a cell error
+    near h^4/384 |y^(4)|, below that of the steps. The curve evaluates
+    arrays of s; its r''' = kappa^2 t + kappa' n - kappa tau b takes kappa
+    and tau from the prescription and kappa' from five-point differences at
+    the nodes.
+
+    The prescriptions are sampled once per step grid before integration, on
+    the nodes (tau: all but the last, which takes its step end's), the step
+    midpoints and the step ends; a node kappa below KAPPA_MIN raises before
+    any step. Afterwards the r'' and r''' evaluators call them per sample.
 
     initial_frame may be a FrenetApparatus, a (t, n, b) triple, or None for
     the canonical frame; initial_point defaults to the origin. A non-finite
@@ -458,15 +501,22 @@ def curve_from_curvature(
     _validate_initial_frame(t0, n0, b0)
     p0 = np.zeros(3) if initial_point is None else as_vector(initial_point)
 
-    nsteps = max(1, math.ceil((hi - lo) / min(step, ODE_STEP)))
+    nsteps = max(4, math.ceil((hi - lo) / min(step, ODE_STEP)))
     h = (hi - lo) / nsteps
     svals = lo + h * np.arange(nsteps + 1)
-    table = np.empty((nsteps + 1, 4, 3))
-    kappas = np.empty(nsteps + 1)
-    taus = np.empty(nsteps + 1)
+    mids, ends = svals[:-1] + 0.5 * h, svals[:-1] + h  # an end and the next node may differ
 
-    def rhs(y: np.ndarray, k: float, tau: float) -> np.ndarray:
-        out = np.empty((4, 3))
+    def prescribed(fn: Callable[[float], float], s: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(fn, s.tolist()), float, s.size)
+
+    kappas, k_mid, k_end = (prescribed(kappa_fn, grid) for grid in (svals, mids, ends))
+    tau_here, tau_mid, tau_end = (prescribed(tau_fn, grid) for grid in (svals[:-1], mids, ends))
+    taus = np.append(tau_here, tau_end[-1])
+    _raise_failed(kappas < KAPPA_MIN, _Code.FLAT_PRESCRIPTION, svals, kappa=kappas)
+
+    def rhs(y: np.ndarray, k, tau) -> np.ndarray:
+        """The frame equations at one node, or at N with k and tau (N, 1)."""
+        out = np.empty_like(y)
         out[0] = y[1]
         out[1] = k * y[2]
         out[2] = k * y[1] - tau * y[3]
@@ -479,49 +529,29 @@ def curve_from_curvature(
             raise IntegrationError(f"{what} near s = {s}")
         return v / math.sqrt(q)
 
-    state = np.vstack([p0, t0, n0, b0])
-    for i in range(nsteps + 1):
-        s = float(svals[i])
-        k_here = float(kappa_fn(s))
-        if k_here < KAPPA_MIN:
-            raise DegenerateFrameError(
-                f"prescribed curvature {k_here} below {KAPPA_MIN} at s = {s}"
-            )
-        kappas[i] = k_here
-        table[i] = state
-        if i == nsteps:
-            break
-        # k1 reuses the node's kappa and k2, k3 share the midpoint pair. k4's
-        # pair is not reused at the next node: s + h and svals[i + 1] can
-        # differ in the last bit.
-        mid = s + 0.5 * h
-        k_mid, tau_mid, taus[i] = kappa_fn(mid), tau_fn(mid), tau_fn(s)
-        k1 = rhs(state, k_here, taus[i])
-        k2 = rhs(state + 0.5 * h * k1, k_mid, tau_mid)
-        k3 = rhs(state + 0.5 * h * k2, k_mid, tau_mid)
-        taus[i + 1] = tau_fn(s + h)  # the next node's k1 overwrites it, except at the last node
-        k4 = rhs(state + h * k3, kappa_fn(s + h), taus[i + 1])
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    table = np.empty((nsteps + 1, 4, 3))
+    table[0] = p0, t0, n0, b0
+    for i, end in enumerate(ends.tolist()):
+        y = table[i]
+        k1 = rhs(y, kappas[i], tau_here[i])
+        k2 = rhs(y + 0.5 * h * k1, k_mid[i], tau_mid[i])
+        k3 = rhs(y + 0.5 * h * k2, k_mid[i], tau_mid[i])
+        k4 = rhs(y + h * k3, k_end[i], tau_end[i])
+        state = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(state)):
-            raise IntegrationError(f"non-finite state near s = {s + h}")
+            raise IntegrationError(f"non-finite state near s = {end}")
         # Lorentzian Gram-Schmidt; the projection onto the timelike t adds
         # (rather than subtracts) the <.,t> component because <t,t> = -1.
-        t = unit(state[1], -1.0, "tangent left the timelike cone", s + h)
-        n = unit(state[2] + _inner(state[2], t) * t, 1.0, "normal is no longer spacelike", s + h)
+        t = unit(state[1], -1.0, "tangent left the timelike cone", end)
+        n = unit(state[2] + _inner(state[2], t) * t, 1.0, "normal is no longer spacelike", end)
         b = state[3] + _inner(state[3], t) * t - _inner(state[3], n) * n
-        b = unit(b, 1.0, "binormal is no longer spacelike", s + h)
-        state = np.vstack([state[0], t, n, b])
+        table[i + 1] = state[0], t, n, unit(b, 1.0, "binormal is no longer spacelike", end)
 
-    # Frame-equation node slopes; kappa' one-sided at the ends, np.gradient below 5 nodes.
-    k, tau = kappas[:, None], taus[:, None]
-    _, t, n, b = table.transpose(1, 0, 2)
-    slopes = np.stack([t, k * n, k * t - tau * b, tau * n], axis=1)
-    if nsteps < 4:
-        kdots = np.gradient(kappas, h)
-    else:
-        first = np.clip(np.arange(nsteps + 1) - 2, 0, nsteps - 4)
-        rows = _FIVE_POINT[np.arange(nsteps + 1) - first]
-        kdots = np.sum(rows * kappas[first[:, None] + np.arange(5)], axis=1) / h
+    # Frame-equation node slopes; kappa' from five-point rows, one-sided at the ends.
+    slopes = rhs(table.swapaxes(0, 1), kappas[:, None], taus[:, None]).swapaxes(0, 1)
+    first = np.clip(np.arange(nsteps + 1) - 2, 0, nsteps - 4)
+    rows = _FIVE_POINT[np.arange(nsteps + 1) - first]
+    kdots = np.sum(rows * kappas[first[:, None] + np.arange(5)], axis=1) / h
 
     def hermite(s: np.ndarray) -> np.ndarray:
         """(N, 4, 3) rows (r, t, n, b) of the cubic Hermite interpolant at s."""
@@ -529,20 +559,18 @@ def curve_from_curvature(
         width = (svals[i + 1] - svals[i])[:, None, None]
         u = (s - svals[i])[:, None, None] / width
         v = 1.0 - u
-        ends = v * v * (1.0 + 2.0 * u) * table[i] + u * u * (3.0 - 2.0 * u) * table[i + 1]
-        return ends + u * v * width * (v * slopes[i] - u * slopes[i + 1])
-
-    def prescribed(fn: Callable[[float], float], s: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(fn, s.tolist()), float, s.size)[:, None]
+        cubic = v * v * (1.0 + 2.0 * u) * table[i] + u * u * (3.0 - 2.0 * u) * table[i + 1]
+        return cubic + u * v * width * (v * slopes[i] - u * slopes[i + 1])
 
     def d3(s: np.ndarray) -> np.ndarray:
-        y, kappa = hermite(s), prescribed(kappa_fn, s)
+        y, kappa = hermite(s), prescribed(kappa_fn, s)[:, None]
         kdot = np.interp(s, svals, kdots)[:, None]
-        return kappa * kappa * y[:, 1] + kdot * y[:, 2] - kappa * prescribed(tau_fn, s) * y[:, 3]
+        tau = prescribed(tau_fn, s)[:, None]
+        return kappa * kappa * y[:, 1] + kdot * y[:, 2] - kappa * tau * y[:, 3]
 
     return Curve._from_jets(
         (lambda s: hermite(s)[:, 0], lambda s: hermite(s)[:, 1],
-         lambda s: prescribed(kappa_fn, s) * hermite(s)[:, 2], d3), (lo, hi))
+         lambda s: prescribed(kappa_fn, s)[:, None] * hermite(s)[:, 2], d3), (lo, hi))
 
 
 def helix_curve(

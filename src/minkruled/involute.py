@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, _result, _rotation, _samples, frenet_apparatus
-from .lorentz import CAUSAL_CLASSES, SPACELIKE_INDEX, CausalClass
+from .curves import Curve, InvoluteFrame, _frame, _result, _rotation, _samples, frenet_apparatus
 
 __all__ = [
     "EPS_CUSP",
@@ -17,9 +15,20 @@ __all__ = [
     "involute_frame",
     "involute_point",
     "involute_velocity",
+    "split_range",
 ]
 
 EPS_CUSP = 1e-3
+
+
+def split_range(
+    s_range: tuple[float, float], c: float, margin: float
+) -> list[tuple[float, float]]:
+    """Sub-intervals of s_range with the cusp window (c - margin, c + margin)
+    removed. Returns [] when nothing survives."""
+    lo, hi = s_range
+    pieces = [(lo, min(hi, c - margin)), (max(lo, c + margin), hi)]
+    return [(a, b) for a, b in pieces if b - a > 1e-12]
 
 
 class InvoluteCurve:
@@ -52,13 +61,7 @@ class InvoluteCurve:
         self.domain = (lo, hi)
 
     def _default_domain(self) -> tuple[float, float]:
-        blo, bhi = self.base.domain
-        c = self.c_const
-        pieces = [
-            (blo, min(bhi, c - EPS_CUSP)),
-            (max(blo, c + EPS_CUSP), bhi),
-        ]
-        pieces = [(a, b) for a, b in pieces if b - a > 0.0]
+        pieces = split_range(self.base.domain, self.c_const, EPS_CUSP)
         if not pieces:
             raise ValueError("no cusp-free sub-interval inside the base domain")
         return max(pieces, key=lambda p: p[1] - p[0])
@@ -79,23 +82,6 @@ def _velocity(inv: InvoluteCurve, s: np.ndarray, fa) -> np.ndarray:
     return ((inv.c_const - s) * fa.kappa)[..., None] * fa.n
 
 
-@dataclass(frozen=True)
-class InvoluteFrame:
-    """Frame {t*, n*, b*} of the involute, rotated off the base frame.
-
-    t* equals the base normal in both cases. With a spacelike rotation
-    vector the signature is (<t*,t*>, <n*,n*>, <b*,b*>) = (+1, -1, +1); with
-    a timelike one the hyperbolic rotation lands on (+1, +1, -1) instead.
-    The frame does not depend on the involute constant c. For an array of s
-    the vectors are (N, 3) and d_case is an object array of CausalClass.
-    """
-
-    t_star: np.ndarray
-    n_star: np.ndarray
-    b_star: np.ndarray
-    d_case: CausalClass
-
-
 def involute_frame(inv: InvoluteCurve, s) -> InvoluteFrame:
     """Involute frame at s via the hyperbolic rotation by theta.
 
@@ -105,14 +91,3 @@ def involute_frame(inv: InvoluteCurve, s) -> InvoluteFrame:
     The case is chosen per sample.
     """
     return _result(_frame(_rotation(inv.base, _samples(s))), s)
-
-
-def _frame(rotation) -> InvoluteFrame:
-    """Involute frame from the rotation data of curves._rotation."""
-    fa, _, causal, _, theta = rotation
-    ch = np.cosh(theta)[:, None]
-    sh = np.sinh(theta)[:, None]
-    spacelike = (causal == SPACELIKE_INDEX)[:, None]
-    n_star = np.where(spacelike, -ch * fa.t + sh * fa.b, sh * fa.t - ch * fa.b)
-    b_star = np.where(spacelike, -sh * fa.t + ch * fa.b, -ch * fa.t + sh * fa.b)
-    return InvoluteFrame(fa.n, n_star, b_star, CAUSAL_CLASSES[causal])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import _darboux
-from .involute import _frame, involute_point
+from .involute import involute_point
 from .report import _fmt
 from .surfaces import TrajectoryRuledSurface, _coefficients, _drall_closed, _ruling
 
@@ -49,7 +49,7 @@ def sample_grid(
     vvals = np.linspace(float(v_range[0]), float(v_range[1]), nv)
     gamma = involute_point(surf.inv, svals)
     ev = _darboux(surf.inv.base, svals)
-    ruling = _ruling(_coefficients(surf), _frame(ev.rotation))[:ns]
+    ruling = _ruling(_coefficients(surf), ev.frame)[:ns]
     vertices = gamma[:, None, :] + vvals[None, :, None] * ruling[:, None, :]
     drall = _drall_closed(surf.inv, _coefficients(surf), ev).value
     return SurfaceMesh(s_values=svals, v_values=vvals, vertices=vertices, drall=drall)

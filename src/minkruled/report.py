@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SceneConfig, build_curve, split_range
-from .curves import _Code, _darboux, _error, _general_helix, _samples, orthonormality_residuals
+from .curves import _Code, _darboux, _error, _general_helix, _joined, orthonormality_residuals
 from .involute import InvoluteCurve
 from .lorentz import coordinate_cross, cross
 from .surfaces import (
@@ -75,9 +75,10 @@ def run_report(cfg: SceneConfig) -> ReportResult:
     inconsistencies). Configuration errors are raised before this point and
     map to exit code 2 in the command-line front end.
 
-    The base curve is evaluated once for its table and once per segment; a
-    segment's evaluation serves every direction, and each row and verdict
-    comes from array results whose per-sample codes mark error cells.
+    The base curve is evaluated once per segment; a segment's evaluation
+    serves its rows of the base-curve table and every direction, and each
+    row and verdict comes from array results whose per-sample codes mark
+    error cells.
     """
     warnings: list[str] = []
     lines: list[str] = []
@@ -85,6 +86,7 @@ def run_report(cfg: SceneConfig) -> ReportResult:
     segments = split_range(cfg.s_range, cfg.c_const, cfg.cusp_margin)
     seg_samples = _sample_points(segments, cfg.samples)
     samples = [s for points in seg_samples for s in points]
+    seg_evals = [_darboux(curve, np.array(points)) for points in seg_samples]
 
     lines.append("= scene =")
     kind = cfg.curve.builtin if cfg.curve.builtin else "prescribed curvature/torsion"
@@ -107,8 +109,7 @@ def run_report(cfg: SceneConfig) -> ReportResult:
     lines.append("= base curve =")
     header = f"{'s':>14} {'kappa':>14} {'tau':>14} {'theta':>14} {'theta_dot':>14}"
     lines.append(header)
-    ev = _darboux(curve, _samples(samples))
-    fa, dd = ev.fa, ev.dd
+    fa, dd = (_joined([getattr(ev, name) for ev in seg_evals]) for name in ("fa", "dd"))
     runs: list[list] = []  # [causal class, first s, last s] per run of samples
     for *row, cls in zip(samples, fa.kappa, fa.tau, dd.theta, dd.theta_dot, map(str, dd.d_class)):
         lines.append(" ".join(f"{_fmt(x):>14}" for x in row))
@@ -143,7 +144,6 @@ def run_report(cfg: SceneConfig) -> ReportResult:
         + _fmt(dual_res)
     )
 
-    seg_evals = [_darboux(curve, _samples(points)) for points in seg_samples]
     seg_invs = [InvoluteCurve(curve, cfg.c_const, domain=seg) for seg in segments]
     for d_idx, coeffs in enumerate(cfg.directions):
         seg_surfaces = [general_surface(inv, *coeffs) for inv in seg_invs]

@@ -33,7 +33,6 @@ from .errors import DegenerateCoefficientError, NullDirectionError
 from .involute import (
     InvoluteCurve,
     InvoluteFrame,
-    _frame,
     _velocity,
     involute_frame,
     involute_point,
@@ -309,7 +308,7 @@ def _drall_numeric(inv: InvoluteCurve, coeffs: np.ndarray, ev):
     bound = 1e-4 * np.maximum(1.0, np.max(np.abs(gdot), axis=-1))
     codes = (_Code.VELOCITY_DRIFT * (drift > bound)).astype(np.int8)
     rows = np.tile(np.broadcast_to(coeffs, (s.size, 3)), (5, 1))
-    x_here, xdot = numdiff.split(_ruling(rows, _frame(ev.rotation)))
+    x_here, xdot = numdiff.split(_ruling(rows, ev.frame))
     num = _triple(gdot, x_here, xdot)
     den = _inner(xdot, xdot)
     xdot_sq = np.sum(xdot * xdot, axis=-1)
@@ -370,7 +369,7 @@ def _verdict(surf: TrajectoryRuledSurface, ev, res: DrallResult) -> Developabili
     s_dev = ev.s[dev]
     gdot = _velocity(inv, ev.s, ev.fa)[dev]
     xdot = _ruling_derivative(coeffs, ev)[dev]
-    x_here = _ruling(coeffs, _frame(ev.rotation))[:n][dev]
+    x_here = _ruling(coeffs, ev.frame)[:n][dev]
     n1 = np.cross(gdot + 0.1 * xdot, x_here)
     n2 = np.cross(gdot + 1.0 * xdot, x_here)
     len1 = np.linalg.norm(n1, axis=-1)
@@ -536,7 +535,7 @@ def _striction(inv: InvoluteCurve, coeffs: np.ndarray, ev):
     xx = _inner(xdot_closed, xdot_closed)
     null = np.abs(xx) <= DEGEN_TOL * np.maximum(1.0, dd.d_norm ** 2 + dd.theta_dot ** 2)
     gamma, gdot_fd = numdiff.split(involute_point(inv, ev.points))
-    x_here, xdot_fd = numdiff.split(_ruling(coeffs, _frame(ev.rotation)))
+    x_here, xdot_fd = numdiff.split(_ruling(coeffs, ev.frame))
     # cylindrical samples divide by a null square; their code says so
     with np.errstate(divide="ignore", invalid="ignore"):
         offset = -_inner(gdot_fd, xdot_fd) / _inner(xdot_fd, xdot_fd)

@@ -270,6 +270,40 @@ class TestCurveSynthesis:
         assert calls["kappa"] <= 3 * steps + 1
         assert calls["tau"] <= 3 * steps
 
+    def test_prescriptions_are_sampled_once_per_step_grid(self):
+        # nodes, step midpoints and step ends, each grid in one pass before any
+        # step; tau skips the last node, which takes its step end's value
+        args = {"kappa": [], "tau": []}
+
+        def kappa(s):
+            args["kappa"].append(s)
+            return 1.0 + 0.1 * s
+
+        def tau(s):
+            args["tau"].append(s)
+            return 0.3 * s
+
+        lo, hi = 0.1, 0.6
+        mk.curve_from_curvature(kappa, tau, domain=(lo, hi))
+        steps = math.ceil((hi - lo) / curves.ODE_STEP)
+        h = (hi - lo) / steps
+        nodes = lo + h * np.arange(steps + 1)
+        mids, ends = nodes[:-1] + 0.5 * h, nodes[:-1] + h
+        assert args["kappa"] == [*nodes.tolist(), *mids.tolist(), *ends.tolist()]
+        assert args["tau"] == [*nodes[:-1].tolist(), *mids.tolist(), *ends.tolist()]
+
+    def test_first_flat_node_raises_before_integration(self):
+        # the integration alone would fail first, near s = 0.195
+        nodes = (1.0 / 1000) * np.arange(1001)
+        first = float(nodes[np.argmax(nodes >= 0.9)])
+        with pytest.raises(mk.DegenerateFrameError) as info:
+            mk.curve_from_curvature(
+                lambda s: 100.0 if s < 0.9 else 0.0, lambda s: 30.0, domain=(0.0, 1.0)
+            )
+        assert str(info.value) == (
+            f"prescribed curvature 0.0 below {curves.KAPPA_MIN} at s = {first}"
+        )
+
     def test_planar_prescription(self):
         c = mk.curve_from_curvature(lambda s: 1.0, lambda s: 0.0, domain=(0.0, 1.0))
         for s in (0.2, 0.5, 0.8):
@@ -308,8 +342,16 @@ class TestCurveSynthesis:
         assert np.max(np.abs(fa.tau - [cfg.curve.tau(u) for u in s])) <= 1e-13
 
     def test_fewer_than_five_nodes(self):
-        # three steps: kappa' comes from np.gradient, exact for a linear kappa
-        c = mk.curve_from_curvature(lambda s: 1.0 + 0.2 * s, lambda s: 0.3, domain=(0.0, 0.003))
+        # a domain of three ODE steps still takes four, so kappa' comes from
+        # five-point rows, exact for a linear kappa: 5 nodes, 4 mids, 4 ends
+        calls = []
+
+        def kappa(s):
+            calls.append(s)
+            return 1.0 + 0.2 * s
+
+        c = mk.curve_from_curvature(kappa, lambda s: 0.3, domain=(0.0, 0.003))
+        assert len(calls) == 13
         s = np.linspace(0.0, 0.003, 7)
         fa = mk.frenet_apparatus(c, s)
         assert np.max(np.abs(_inner(c.derivative(s, 3), fa.n) - 0.2)) <= 1e-10

@@ -384,7 +384,7 @@ def test_report_evaluates_once_per_segment(frame_calls, tmp_path):
         assert len(segments) == 2
         frame_calls["frenet"] = 0
         mk.run_report(cfg)
-        assert frame_calls["frenet"] <= 1 + len(segments)
+        assert frame_calls["frenet"] == len(segments)
 
 
 def test_one_evaluation_per_public_call(frame_calls):
