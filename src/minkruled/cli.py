@@ -16,9 +16,9 @@ import numpy as np
 from .config import build_curve, load_config, split_range
 from .errors import ConfigError, GeometryError
 from .involute import InvoluteCurve
-from .mesh import export_mesh, sample_grid
+from .mesh import _coordinates, _export, _sampler
 from .report import run_report
-from .surfaces import general_surface
+from .surfaces import make_direction
 from .verify import run_trials
 
 __all__ = ["main"]
@@ -46,26 +46,24 @@ def _cmd_mesh(args) -> int:
             f"splitting into {len(segments)} segments"
         )
     warned = False
-    for d_idx, coeffs in enumerate(cfg.directions):
+    samplers = {}  # segment index -> its grid, evaluated for the first direction
+    for d_idx, direction in enumerate(make_direction(*coeffs) for coeffs in cfg.directions):
         for seg_idx, seg in enumerate(segments):
-            inv = InvoluteCurve(curve, cfg.c_const, domain=seg)
-            surf = general_surface(inv, *coeffs)
-            mesh = sample_grid(surf, seg, cfg.v_range, cfg.grid[0], cfg.grid[1])
+            if seg_idx not in samplers:
+                inv = InvoluteCurve(curve, cfg.c_const, domain=seg)
+                samplers[seg_idx] = _sampler(inv, seg, cfg.v_range, *cfg.grid)
+            mesh = samplers[seg_idx](direction)
             if not np.all(np.isfinite(mesh.drall)):
                 warned = True
-                print(
-                    f"warning: singular drall in direction {d_idx} segment {seg_idx}"
-                )
+                print(f"warning: singular drall in direction {d_idx} segment {seg_idx}")
+            coords = _coordinates(mesh) if cfg.outputs else []
             for out in cfg.outputs:
                 path = _segment_path(out.path, d_idx, seg_idx)
                 try:
-                    export_mesh(mesh, out.fmt, path)
+                    _export(mesh, out.fmt, path, coords)
                 except OSError as exc:
                     raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-                print(
-                    f"wrote {path}: {mesh.vertex_count} vertices, "
-                    f"{mesh.face_count} faces"
-                )
+                print(f"wrote {path}: {mesh.vertex_count} vertices, {mesh.face_count} faces")
     return 3 if warned else 0
 
 

@@ -382,15 +382,19 @@ def _frame(rotation) -> InvoluteFrame:
 @dataclass(frozen=True)
 class _Evaluation:
     """One _rotation call on the 5N points numdiff.stencil(s) of a 1-D array
-    s: the frame, spacelike mask and DarbouxData at s, and the involute frame
-    on all 5N points, the one the kernels take X and its stencils from."""
+    s: the frame, spacelike mask and DarbouxData at s, and the involute frame on
+    all 5N points (built on first read), the one the kernels take X and its stencils from."""
 
     s: np.ndarray
     fa: FrenetApparatus
     spacelike: np.ndarray
     dd: DarbouxData
     points: np.ndarray
-    frame: InvoluteFrame
+    rotation: tuple
+
+    @functools.cached_property
+    def frame(self) -> InvoluteFrame:
+        return _frame(self.rotation)
 
 
 def _darboux(curve: Curve, s: np.ndarray) -> _Evaluation:
@@ -402,7 +406,7 @@ def _darboux(curve: Curve, s: np.ndarray) -> _Evaluation:
     fa, d, causal, d_norm, _ = (_item(x, slice(s.size)) for x in rotation)
     theta, theta_dot = numdiff.split(rotation[4])
     dd = DarbouxData(d, CAUSAL_CLASSES[causal], d_norm, theta, theta_dot, d / d_norm[:, None])
-    return _Evaluation(s, fa, causal == SPACELIKE_INDEX, dd, points, _frame(rotation))
+    return _Evaluation(s, fa, causal == SPACELIKE_INDEX, dd, points, rotation)
 
 
 def darboux_data(curve: Curve, s) -> DarbouxData:

@@ -8,6 +8,8 @@ public scalar call per sample, the error order of array calls, the sample
 a frame error names, and the number of frame evaluations per operation.
 """
 
+import contextlib
+import io
 import json
 import math
 
@@ -15,10 +17,10 @@ import numpy as np
 import pytest
 
 import minkruled as mk
-from minkruled import curves, report, surfaces, verify
+from minkruled import cli, curves, report, surfaces, verify
 from minkruled.curves import _darboux
 
-from test_golden import SCENE
+from test_golden import GOLDEN, SCENE
 
 
 def write_scene(tmp_path, name, scene):
@@ -384,6 +386,20 @@ def test_report_evaluates_once_per_segment(frame_calls, tmp_path):
         assert len(segments) == 2
         frame_calls["frenet"] = 0
         mk.run_report(cfg)
+        assert frame_calls["frenet"] == len(segments)
+
+
+def test_mesh_evaluates_once_per_segment(frame_calls, tmp_path, monkeypatch):
+    # every direction's mesh of a segment reads that segment's one evaluation
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    for path in (SCENE, str(GOLDEN / "prescribed_scene.json")):
+        cfg = mk.load_config(path)
+        segments = mk.split_range(cfg.s_range, cfg.c_const, cfg.cusp_margin)
+        assert len(segments) == 2
+        frame_calls["frenet"] = 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["mesh", path]) == 0
         assert frame_calls["frenet"] == len(segments)
 
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -125,6 +126,38 @@ class TestCsvExport:
         mesh = mk.sample_grid(surf, (0.0, 0.9), (-2.0, 2.0), 2, 2)
         with pytest.raises(ValueError):
             mk.export_mesh(mesh, "stl", str(tmp_path / "x.stl"))
+
+
+def test_writers_format_every_number_to_nine_digits(tmp_path):
+    # a hand-built 2 x 4 grid: signed zero, a subnormal, exponent switches, and
+    # values whose 9-digit rounding needs an exponent
+    values = [-0.0, 5e-324, 1e-5, 1e-4, 0.1, 123456789.5, 1e16, -1e16]
+    mesh = mk.SurfaceMesh(
+        s_values=np.array([-0.0, 0.1]),
+        v_values=np.array(values[1:5]),
+        vertices=np.array(values * 3).reshape(2, 4, 3),
+        drall=np.array([-1e16, np.inf]),
+    )
+
+    def fmt(x):
+        return f"{float(x) + 0.0:.9g}"
+
+    obj = ["# ruled surface mesh"]
+    obj += ["v " + " ".join(map(fmt, xyz)) for xyz in mesh.vertices.reshape(-1, 3)]
+    obj += [f"f {a} {a + 4} {a + 5} {a + 1}" for a in (1, 2, 3)]
+    csv = ["s,v,x,y,z,drall"]
+    for i in range(2):
+        for j in range(4):
+            row = [mesh.s_values[i], mesh.v_values[j], *mesh.vertices[i, j], mesh.drall[i]]
+            csv.append(",".join(map(fmt, row)))
+    assert obj[1] == "v 0 4.94065646e-324 1e-05"
+    assert csv[8] == "0.1,0.1,123456790,1e+16,-1e+16,inf"
+    for fmt_name, write, want in (("obj", mk.write_obj, obj), ("csv", mk.write_csv, csv)):
+        want_bytes = ("\n".join(want) + "\n").encode("ascii")
+        write(mesh, str(tmp_path / f"direct.{fmt_name}"))
+        mk.export_mesh(mesh, fmt_name, str(tmp_path / f"export.{fmt_name}"))
+        assert (tmp_path / f"direct.{fmt_name}").read_bytes() == want_bytes
+        assert (tmp_path / f"export.{fmt_name}").read_bytes() == want_bytes
 
 
 def helix_config(tmp_path, **overrides):
@@ -318,6 +351,45 @@ class TestCli:
         (tmp_path / "out").mkdir()
         assert cli.main(["mesh", str(GOLDEN / "helix_scene.json")]) == 0
         assert (tmp_path / "out" / "helix_cli_d2_s1.obj").exists()
+
+    def test_mesh_stops_at_the_first_unwritable_output(self, tmp_path, capsys, monkeypatch):
+        # direction 1's first file is a directory: direction 0 is written in
+        # full, then the run stops before evaluating or writing anything more
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out" / "helix_cli_d1_s0.obj").mkdir(parents=True)
+        code = cli.main(["mesh", str(GOLDEN / "helix_scene.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"config error: cannot write out/helix_cli_d1_s0.obj: {os.strerror(errno.EISDIR)}\n"
+        )
+        assert captured.out == (
+            "warning: s-range crosses the involute cusp at s = 1.0; splitting into 2 segments\n"
+            "wrote out/helix_cli_d0_s0.obj: 360 vertices, 312 faces\n"
+            "wrote out/helix_cli_d0_s1.obj: 360 vertices, 312 faces\n"
+        )
+        written = sorted(p.name for p in (tmp_path / "out").iterdir() if p.is_file())
+        assert written == ["helix_cli_d0_s0.obj", "helix_cli_d0_s1.obj"]
+
+    def test_mesh_evaluates_a_segment_when_first_reached(self, tmp_path, capsys):
+        # tau = s meets kappa = 1 at s = 1, a point of segment 1's grid: that
+        # segment's frame error comes after direction 0 has written segment 0
+        path = helix_config(
+            tmp_path,
+            curve={"kappa": {"poly": [1.0]}, "tau": {"poly": [0.0, 1.0]}},
+            c=0.5,
+            cusp_margin=0.05,
+            s_range=[0.0, 2.0],
+            grid=[30, 3],
+            directions=[[0.7, 0.2, -0.4], [0, 0, 1]],
+        )
+        assert cli.main(["mesh", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: rotation vector lightlike at s = 1.0 (")
+        assert captured.out.splitlines()[1:] == [
+            f"wrote {tmp_path / 'helix_d0_s0.obj'}: 90 vertices, 58 faces"
+        ]
+        assert sorted(p.name for p in tmp_path.glob("helix_*")) == ["helix_d0_s0.obj"]
 
     @pytest.mark.parametrize(
         "path, segment_path",
