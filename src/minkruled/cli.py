@@ -8,6 +8,7 @@ demoted to warnings. The MINKRULED_SEED environment variable overrides the
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -130,7 +131,9 @@ def _int_at_least(minimum: int, what: str):
     return parse
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="minkruled",
         description=(
@@ -155,8 +158,11 @@ def main(argv=None) -> int:
     p_verify.add_argument("--trials", type=_int_at_least(1, "positive"), default=50)
     p_verify.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=0)
     p_verify.set_defaults(func=_cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -382,8 +382,9 @@ def _frame(rotation) -> InvoluteFrame:
 @dataclass(frozen=True)
 class _Evaluation:
     """One _rotation call on the 5N points numdiff.stencil(s) of a 1-D array
-    s: the frame, spacelike mask and DarbouxData at s, and the involute frame on
-    all 5N points (built on first read), the one the kernels take X and its stencils from."""
+    s: the frame, spacelike mask and DarbouxData at s, and the involute frame and
+    position r on all 5N points (each built on first read), which the kernels
+    take X, the involute r + (c - s) t and their stencils from."""
 
     s: np.ndarray
     fa: FrenetApparatus
@@ -391,10 +392,18 @@ class _Evaluation:
     dd: DarbouxData
     points: np.ndarray
     rotation: tuple
+    curve: Curve | None = None
 
     @functools.cached_property
     def frame(self) -> InvoluteFrame:
         return _frame(self.rotation)
+
+    @functools.cached_property
+    def position(self) -> np.ndarray:
+        return self.curve._evaluate(self.points, 0)
+
+    def involute(self, c: float) -> np.ndarray:
+        return self.position + (c - self.points)[:, None] * self.rotation[0].t
 
 
 def _darboux(curve: Curve, s: np.ndarray) -> _Evaluation:
@@ -406,7 +415,7 @@ def _darboux(curve: Curve, s: np.ndarray) -> _Evaluation:
     fa, d, causal, d_norm, _ = (_item(x, slice(s.size)) for x in rotation)
     theta, theta_dot = numdiff.split(rotation[4])
     dd = DarbouxData(d, CAUSAL_CLASSES[causal], d_norm, theta, theta_dot, d / d_norm[:, None])
-    return _Evaluation(s, fa, causal == SPACELIKE_INDEX, dd, points, rotation)
+    return _Evaluation(s, fa, causal == SPACELIKE_INDEX, dd, points, rotation, curve)
 
 
 def darboux_data(curve: Curve, s) -> DarbouxData:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import _darboux
-from .involute import InvoluteCurve, involute_point
+from .involute import InvoluteCurve
 from .report import _fmt
 from .surfaces import RulingDirection, TrajectoryRuledSurface, _drall_closed, _ruling
 
@@ -53,8 +53,8 @@ def _sampler(inv: InvoluteCurve, s_range, v_range, ns: int, nv: int):
             raise ValueError(f"{name} {tuple(bounds)} must be finite")
     svals = np.linspace(float(s_range[0]), float(s_range[1]), ns)
     vvals = np.linspace(float(v_range[0]), float(v_range[1]), nv)
-    gamma = involute_point(inv, svals)
     ev = _darboux(inv.base, svals)
+    gamma = ev.involute(inv.c_const)[:ns]
 
     def mesh(direction: RulingDirection) -> SurfaceMesh:
         coeffs = np.array(direction.coefficients())

@@ -18,8 +18,7 @@ from .surfaces import (
     Degeneracy,
     _coefficients,
     _drall_closed,
-    _drall_numeric,
-    _striction,
+    _oracle,
     _verdict,
     general_surface,
 )
@@ -88,16 +87,14 @@ def run_report(cfg: SceneConfig) -> ReportResult:
     samples = [s for points in seg_samples for s in points]
     seg_evals = [_darboux(curve, np.array(points)) for points in seg_samples]
 
-    lines.append("= scene =")
     kind = cfg.curve.builtin if cfg.curve.builtin else "prescribed curvature/torsion"
-    lines.append(f"curve: {kind}")
-    lines.append(f"c: {_fmt(cfg.c_const)}")
-    lines.append(
-        "s-range: [" + _fmt(cfg.s_range[0]) + ", " + _fmt(cfg.s_range[1]) + "]"
-    )
-    lines.append(
-        "v-range: [" + _fmt(cfg.v_range[0]) + ", " + _fmt(cfg.v_range[1]) + "]"
-    )
+    lines += [
+        "= scene =",
+        f"curve: {kind}",
+        f"c: {_fmt(cfg.c_const)}",
+        f"s-range: [{_fmt(cfg.s_range[0])}, {_fmt(cfg.s_range[1])}]",
+        f"v-range: [{_fmt(cfg.v_range[0])}, {_fmt(cfg.v_range[1])}]",
+    ]
     if len(segments) > 1:
         lines.append(
             "note: s-range crosses the involute cusp at s = c; "
@@ -105,10 +102,8 @@ def run_report(cfg: SceneConfig) -> ReportResult:
             + " and ".join(f"[{_fmt(a)}, {_fmt(b)}]" for a, b in segments)
         )
 
-    lines.append("")
-    lines.append("= base curve =")
     header = f"{'s':>14} {'kappa':>14} {'tau':>14} {'theta':>14} {'theta_dot':>14}"
-    lines.append(header)
+    lines += ["", "= base curve =", header]
     fa, dd = (_joined([getattr(ev, name) for ev in seg_evals]) for name in ("fa", "dd"))
     runs: list[list] = []  # [causal class, first s, last s] per run of samples
     for *row, cls in zip(samples, fa.kappa, fa.tau, dd.theta, dd.theta_dot, map(str, dd.d_class)):
@@ -131,18 +126,13 @@ def run_report(cfg: SceneConfig) -> ReportResult:
                 "change branch there"
             )
     helix, deviation = _general_helix(fa)
-    lines.append(
-        f"general helix: {'yes' if helix else 'no'} "
-        f"(ratio deviation {_fmt(deviation)})"
-    )
+    lines.append(f"general helix: {'yes' if helix else 'no'} (ratio deviation {_fmt(deviation)})")
     ortho, coord_res, dual_res = _frame_residuals(fa.t[0], fa.n[0], fa.b[0])
-    lines.append(f"frame orthonormality residual: {_fmt(ortho)}")
-    lines.append(
-        "frame product residuals: coordinate rule "
-        + _fmt(coord_res)
-        + ", determinant rule (global sign -1) "
-        + _fmt(dual_res)
-    )
+    lines += [
+        f"frame orthonormality residual: {_fmt(ortho)}",
+        f"frame product residuals: coordinate rule {_fmt(coord_res)}, "
+        f"determinant rule (global sign -1) {_fmt(dual_res)}",
+    ]
 
     seg_invs = [InvoluteCurve(curve, cfg.c_const, domain=seg) for seg in segments]
     for d_idx, coeffs in enumerate(cfg.directions):
@@ -159,8 +149,9 @@ def run_report(cfg: SceneConfig) -> ReportResult:
         for surf, points, seg_ev in zip(seg_surfaces, seg_samples, seg_evals):
             normalized = _coefficients(surf)
             closed = _drall_closed(surf.inv, normalized, seg_ev)
-            numeric, numeric_codes, drift = _drall_numeric(surf.inv, normalized, seg_ev)
-            strict, strict_codes = _striction(surf.inv, normalized, seg_ev)
+            numeric, numeric_codes, drift, strict, strict_codes = _oracle(
+                surf.inv, normalized, seg_ev
+            )
             verdicts.append(_verdict(surf, seg_ev, closed))
             for i, s in enumerate(points):
                 value, degeneracy, num = closed.value[i], closed.degeneracy[i], numeric.value[i]
@@ -194,7 +185,8 @@ def run_report(cfg: SceneConfig) -> ReportResult:
                     f"{degeneracy.value:>12} {strict_txt:>14}"
                 )
         developable = all(v.developable for v in verdicts)
-        lines.append(f"developable: {'yes' if developable else 'no'} ({verdicts[0].reason})")
+        reason = next(v.reason for v in verdicts if v.developable == developable)
+        lines.append(f"developable: {'yes' if developable else 'no'} ({reason})")
 
     lines += ["", "= warnings =", *([f"! {w}" for w in warnings] or ["(none)"])]
 

@@ -288,38 +288,48 @@ def drall_numeric(surf: TrajectoryRuledSurface, s) -> DrallResult:
     and cross-checked per sample against finite differences of the involute
     position; a failed check raises GeometryError naming the first bad s.
     For N samples the base frame is evaluated once, on the 5N points s plus
-    stencil (numdiff.stencil), and X and X' both come from the involute
-    frames there; the involute position is evaluated once on the same points.
+    stencil (numdiff.stencil); X, X' and the involute position
+    gamma = r + (c - s) t all come from that evaluation (see _oracle).
     """
     ev = _darboux(surf.inv.base, _samples(s))
-    numeric, codes, drift = _drall_numeric(surf.inv, _coefficients(surf), ev)
+    numeric, codes, drift, _, _ = _oracle(surf.inv, _coefficients(surf), ev)
     _raise_failed(codes != _Code.OK, codes, ev.s, drift=drift)
     return _result(numeric, s)
 
 
-def _drall_numeric(inv: InvoluteCurve, coeffs: np.ndarray, ev):
-    """Determinant drall at ev.s, its codes (curves._Code: VELOCITY_DRIFT
-    where the involute velocity cross-check fails) and the drift the check
-    read. Coefficients of shape (3,) or one row per sample."""
-    s = ev.s
-    gdot = _velocity(inv, s, ev.fa)
-    _, gdot_fd = numdiff.split(involute_point(inv, ev.points))
-    drift = np.max(np.abs(gdot - gdot_fd), axis=-1)
-    bound = 1e-4 * np.maximum(1.0, np.max(np.abs(gdot), axis=-1))
-    codes = (_Code.VELOCITY_DRIFT * (drift > bound)).astype(np.int8)
+def _oracle(inv: InvoluteCurve, coeffs: np.ndarray, ev):
+    """(determinant drall, its codes, drift, striction points, their codes) at
+    ev.s from one involute gamma = r + (c - s) t and ruling X on its 5N stencil
+    points; coefficients of shape (3,) or one row per sample. The codes
+    (curves._Code) are VELOCITY_DRIFT where the analytic gamma' and the
+    differenced one differ by more than the drift bound, and CYLINDRICAL where
+    the closed X' is numerically null, else OFFSET_DISAGREE where the offsets
+    disagree."""
+    s, dd = ev.s, ev.dd
+    gamma, gdot_fd = numdiff.split(ev.involute(inv.c_const))
     rows = np.tile(np.broadcast_to(coeffs, (s.size, 3)), (5, 1))
     x_here, xdot = numdiff.split(_ruling(rows, ev.frame))
-    num = _triple(gdot, x_here, xdot)
+    gdot = _velocity(inv, s, ev.fa)
+    drift = np.max(np.abs(gdot - gdot_fd), axis=-1)
+    bound = 1e-4 * np.maximum(1.0, np.max(np.abs(gdot), axis=-1))
+    drift_codes = (_Code.VELOCITY_DRIFT * (drift > bound)).astype(np.int8)
     den = _inner(xdot, xdot)
     xdot_sq = np.sum(xdot * xdot, axis=-1)
-    num_scale = np.maximum(
-        1.0,
-        np.linalg.norm(gdot, axis=-1)
-        * np.linalg.norm(x_here, axis=-1)
-        * np.maximum(1.0, np.sqrt(xdot_sq)),
-    )
-    den_scale = np.maximum(1.0, xdot_sq)
-    return _classify_drall(num, den, num_scale, den_scale, TAU_DEV_FD), codes, drift
+    norms = np.linalg.norm(gdot, axis=-1) * np.linalg.norm(x_here, axis=-1)
+    num_scale = np.maximum(1.0, norms * np.maximum(1.0, np.sqrt(xdot_sq)))
+    num = _triple(gdot, x_here, xdot)
+    drall = _classify_drall(num, den, num_scale, np.maximum(1.0, xdot_sq), TAU_DEV_FD)
+    xdot_closed = _ruling_derivative(coeffs, ev)
+    xx = _inner(xdot_closed, xdot_closed)
+    null = np.abs(xx) <= DEGEN_TOL * np.maximum(1.0, dd.d_norm ** 2 + dd.theta_dot ** 2)
+    # cylindrical samples divide by a null square; their code says so
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = -_inner(gdot_fd, xdot) / den
+        offset_closed = coeffs[..., 1] * (inv.c_const - s) * ev.fa.kappa * dd.d_norm / xx
+        disagree = np.abs(offset - offset_closed) > TAU_STRICT * np.maximum(1.0, np.abs(offset))
+        point = gamma + offset[:, None] * x_here
+    codes = np.where(null, _Code.CYLINDRICAL, _Code.OFFSET_DISAGREE * disagree).astype(np.int8)
+    return drall, drift_codes, drift, StrictionPoint(point, offset, offset_closed), codes
 
 
 def normal_binormal_drall_ratio(inv: InvoluteCurve, s: float) -> float:
@@ -516,34 +526,14 @@ def striction_point(surf: TrajectoryRuledSurface, s) -> StrictionPoint:
     for cylindrical rulings. An error names the first bad sample.
 
     The base frame is evaluated once, on the 5N points s plus stencil: the
-    closed X' and offset_closed come from the rotation data at s, X and its
-    finite-difference X' from the involute frames at all 5N points. The
-    involute position is evaluated once on the same points.
+    closed X' and offset_closed come from the rotation data at s, X, its
+    finite-difference X' and the involute position gamma = r + (c - s) t
+    from the same evaluation at all 5N points (see _oracle).
     """
     ev = _darboux(surf.inv.base, _samples(s))
-    sp, codes = _striction(surf.inv, _coefficients(surf), ev)
+    *_, sp, codes = _oracle(surf.inv, _coefficients(surf), ev)
     _raise_failed(codes != _Code.OK, codes, ev.s, offset=sp.offset, offset_closed=sp.offset_closed)
     return _result(sp, s)
-
-
-def _striction(inv: InvoluteCurve, coeffs: np.ndarray, ev):
-    """Striction points at ev.s and their codes (curves._Code): CYLINDRICAL
-    where the closed X' is numerically null, else OFFSET_DISAGREE where the
-    two offsets disagree. Coefficients of shape (3,)."""
-    s, dd = ev.s, ev.dd
-    xdot_closed = _ruling_derivative(coeffs, ev)
-    xx = _inner(xdot_closed, xdot_closed)
-    null = np.abs(xx) <= DEGEN_TOL * np.maximum(1.0, dd.d_norm ** 2 + dd.theta_dot ** 2)
-    gamma, gdot_fd = numdiff.split(involute_point(inv, ev.points))
-    x_here, xdot_fd = numdiff.split(_ruling(coeffs, ev.frame))
-    # cylindrical samples divide by a null square; their code says so
-    with np.errstate(divide="ignore", invalid="ignore"):
-        offset = -_inner(gdot_fd, xdot_fd) / _inner(xdot_fd, xdot_fd)
-        offset_closed = coeffs[1] * (inv.c_const - s) * ev.fa.kappa * dd.d_norm / xx
-        disagree = np.abs(offset - offset_closed) > TAU_STRICT * np.maximum(1.0, np.abs(offset))
-        point = gamma + offset[:, None] * x_here
-    codes = np.select([null, disagree], [_Code.CYLINDRICAL, _Code.OFFSET_DISAGREE]).astype(np.int8)
-    return StrictionPoint(point=point, offset=offset, offset_closed=offset_closed), codes
 
 
 def base_is_striction(surf: TrajectoryRuledSurface, samples: Sequence[float]) -> bool:
@@ -555,7 +545,7 @@ def base_is_striction(surf: TrajectoryRuledSurface, samples: Sequence[float]) ->
     order, a failed striction check raises and an offset over TAU_STRICT gives False.
     """
     ev = _darboux(surf.inv.base, _samples(samples))
-    sp, codes = _striction(surf.inv, _coefficients(surf), ev)
+    *_, sp, codes = _oracle(surf.inv, _coefficients(surf), ev)
     for i, code in enumerate(codes.tolist()):
         if code == _Code.OK and abs(sp.offset[i]) > TAU_STRICT:
             return False

@@ -21,7 +21,7 @@ from .surfaces import (
     DrallResult,
     RulingDirection,
     _drall_closed,
-    _drall_numeric,
+    _oracle,
     make_direction,
 )
 
@@ -170,10 +170,10 @@ def run_trials(
 
     The trials run in rounds. A round draws as many candidates as trials are
     still missing, at most MAX_ROUND, in the order of one draw at a time (a
-    direction, then s, per candidate). It evaluates the closed drall on all
-    of them in one call and the determinant drall on the accepted ones in
-    another. The trials are the ones a loop over single draws would give,
-    in the same order.
+    direction, then s, per candidate). Its closed and determinant dralls read
+    one evaluation of all of them; the trials, and the velocity checks that
+    may raise, are the rows of the accepted ones. The trials are the ones a
+    loop over single draws would give, in the same order.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -191,12 +191,13 @@ def run_trials(
             s_list.append(float(rng.uniform(s_window[0], s_window[1])))
         coeffs = np.array([d.coefficients() for d in directions])
         s = np.array(s_list)
-        closed = _drall_closed(inv, coeffs, _darboux(curve, s))
+        ev = _darboux(curve, s)
+        closed = _drall_closed(inv, coeffs, ev)
         scale = np.maximum(1.0, np.abs(closed.denominator) + np.abs(closed.numerator))
         ill = np.abs(closed.denominator) < min_denominator * scale
         kept = np.flatnonzero((closed.degeneracy != Degeneracy.REGULAR) | ~ill)
-        numeric, codes, drift = _drall_numeric(inv, coeffs[kept], _darboux(curve, s[kept]))
-        _raise_failed(codes != _Code.OK, codes, s[kept], drift=drift)
-        for i, closed_row, numeric_row in zip(kept.tolist(), _rows(closed, kept), _rows(numeric)):
-            out.append(_trial(s_list[i], directions[i], closed_row, numeric_row))
+        numeric, codes, drift, _, _ = _oracle(inv, coeffs, ev)
+        _raise_failed(codes[kept] != _Code.OK, codes[kept], s[kept], drift=drift[kept])
+        picked = zip(kept.tolist(), _rows(closed, kept), _rows(numeric, kept))
+        out += [_trial(s_list[i], directions[i], *results) for i, *results in picked]
     return out

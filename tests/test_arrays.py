@@ -186,7 +186,7 @@ def test_per_row_coefficient_kernels_match_per_surface_calls(cases, case, data):
     )
     assert_stacked(
         "drall_numeric",
-        surfaces._drall_numeric(inv, coeffs, _darboux(curve, s_arr))[0],
+        surfaces._oracle(inv, coeffs, _darboux(curve, s_arr))[0],
         [mk.drall_numeric(surf, s) for surf, s in zip(surfs, s_arr.tolist())],
     )
 

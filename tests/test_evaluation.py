@@ -8,6 +8,7 @@ public scalar call per sample, the error order of array calls, the sample
 a frame error names, and the number of frame evaluations per operation.
 """
 
+import collections
 import contextlib
 import io
 import json
@@ -35,6 +36,20 @@ CROSSING_SCENE = {
     "c": 3.0,
     "directions": [[0, 1, 0], [0.3, 0.8, 1.1], [0, 0, 1]],
     "s_range": [0.0, 1.0],
+    "v_range": [-1.0, 1.0],
+    "grid": [4, 3],
+    "samples": 8,
+}
+DISAGREEING_SCENE = {
+    # a general helix up to s = 0.42, where tau starts to rise: the binormal
+    # ruling is cylindrical on the first segment and not developable on the second
+    "curve": {
+        "kappa": {"poly": [1.0]},
+        "tau": {"table": {"s": [-0.1, 0.42, 3.0], "values": [0.3, 0.3, 0.558]}},
+    },
+    "c": 0.4,
+    "directions": [[0, 0, 1]],
+    "s_range": [0.0, 0.8],
     "v_range": [-1.0, 1.0],
     "grid": [4, 3],
     "samples": 8,
@@ -109,7 +124,8 @@ def reference_directions(cfg):
                 )
         verdicts = [mk.classify_developability(surf, p) for surf, p in zip(surfs, seg_samples)]
         developable = all(v.developable for v in verdicts)
-        lines.append(f"developable: {'yes' if developable else 'no'} ({verdicts[0].reason})")
+        reason = next(v.reason for v in verdicts if v.developable == developable)
+        lines.append(f"developable: {'yes' if developable else 'no'} ({reason})")
     return lines, warnings
 
 
@@ -134,6 +150,12 @@ def test_golden_report_equals_per_row_reference():
 def test_crossing_report_equals_per_row_reference(tmp_path):
     res = assert_report_matches_reference(write_scene(tmp_path, "crossing", CROSSING_SCENE))
     assert res.warnings[0].startswith("rotation vector turns")
+
+
+def test_verdict_line_gives_the_reason_of_a_segment_with_that_verdict(tmp_path):
+    res = assert_report_matches_reference(write_scene(tmp_path, "split", DISAGREEING_SCENE))
+    assert res.exit_code == 0
+    assert "developable: no (drall exceeds tolerance at 3 of 4 samples)" in res.text.splitlines()
 
 
 @pytest.mark.parametrize("scene", ["golden", "prescribed"])
@@ -182,8 +204,7 @@ def test_status_arrays_equal_scalar_calls(coeffs):
         surf = mk.general_surface(inv, *coeffs)
         x = surfaces._coefficients(surf)
         ev = _darboux(curve, s_arr)
-        _, numeric_codes, drift = surfaces._drall_numeric(inv, x, ev)
-        strict, strict_codes = surfaces._striction(inv, x, ev)
+        _, numeric_codes, drift, strict, strict_codes = surfaces._oracle(inv, x, ev)
         offsets = {"offset": strict.offset, "offset_closed": strict.offset_closed}
         oracles = (
             (numeric_codes, {"drift": drift}, mk.drall_numeric),
@@ -379,18 +400,39 @@ def frame_calls(monkeypatch):
     return calls
 
 
-def test_report_evaluates_once_per_segment(frame_calls, tmp_path):
+@pytest.fixture
+def order_calls(monkeypatch):
+    # Curve._evaluate calls by derivative order; every evaluation of r or a
+    # derivative of it, public or of a _darboux stencil, is one such call
+    calls = collections.Counter()
+    original = curves.Curve._evaluate
+
+    def counted(self, s, order):
+        calls[order] += 1
+        return original(self, s, order)
+
+    monkeypatch.setattr(curves.Curve, "_evaluate", counted)
+    return calls
+
+
+def test_report_evaluates_once_per_segment(frame_calls, order_calls, tmp_path):
+    # both oracles of every direction take the involute r + (c - s) t from the
+    # segment's one evaluation; the one further r' is the unit-speed check of
+    # the new curve
     for path in (SCENE, write_scene(tmp_path, "prescribed", PRESCRIBED_SCENE)):
         cfg = mk.load_config(path)
         segments = mk.split_range(cfg.s_range, cfg.c_const, cfg.cusp_margin)
         assert len(segments) == 2
         frame_calls["frenet"] = 0
+        order_calls.clear()
         mk.run_report(cfg)
         assert frame_calls["frenet"] == len(segments)
+        assert order_calls[0] == len(segments) and order_calls[1] == len(segments) + 1
 
 
-def test_mesh_evaluates_once_per_segment(frame_calls, tmp_path, monkeypatch):
-    # every direction's mesh of a segment reads that segment's one evaluation
+def test_mesh_evaluates_once_per_segment(frame_calls, order_calls, tmp_path, monkeypatch):
+    # every direction's mesh of a segment reads that segment's one evaluation,
+    # the involute included
     monkeypatch.chdir(tmp_path)
     (tmp_path / "out").mkdir()
     for path in (SCENE, str(GOLDEN / "prescribed_scene.json")):
@@ -398,9 +440,11 @@ def test_mesh_evaluates_once_per_segment(frame_calls, tmp_path, monkeypatch):
         segments = mk.split_range(cfg.s_range, cfg.c_const, cfg.cusp_margin)
         assert len(segments) == 2
         frame_calls["frenet"] = 0
+        order_calls.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["mesh", path]) == 0
         assert frame_calls["frenet"] == len(segments)
+        assert order_calls[1] == len(segments) + 1
 
 
 def test_one_evaluation_per_public_call(frame_calls):
@@ -422,16 +466,20 @@ def test_one_evaluation_per_public_call(frame_calls):
         assert frame_calls["frenet"] == 1
 
 
-def test_run_trials_evaluates_at_most_twice_per_round(frame_calls, monkeypatch):
-    rounds = {"n": 0}
-    closed = verify._drall_closed
+def test_run_trials_evaluates_once_per_round(frame_calls, monkeypatch):
+    # the closed and determinant dralls of a round read one evaluation
+    calls = {"rounds": 0, "darboux": 0}
 
-    def counted(*args, **kwargs):
-        rounds["n"] += 1
-        return closed(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(verify, "_drall_closed", counted)
+        return wrapper
+
+    monkeypatch.setattr(verify, "_drall_closed", counted("rounds", verify._drall_closed))
+    monkeypatch.setattr(verify, "_darboux", counted("darboux", verify._darboux))
     curve = mk.helix_curve(2 / 3, 1 / 3, domain=(0.0, math.pi))
     verify.run_trials(curve, 1.0, (1.01, math.pi), np.random.default_rng(3), 30, 0.6)
-    assert rounds["n"] > 1
-    assert frame_calls["frenet"] <= 2 * rounds["n"]
+    assert calls["rounds"] > 1
+    assert frame_calls["frenet"] == calls["darboux"] == calls["rounds"]

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import math
@@ -439,6 +440,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 3
         assert "singular" in out
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    path = helix_config(tmp_path)
+    assert cli.main(["report", path]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert cli.main(["report", path]) == 0
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["verify", path, "--trials", "0"])
+    assert usage.value.code == 2
+    assert "must be a positive integer, got 0" in capsys.readouterr().err
+    assert built == []
 
 
 # A fresh interpreter: a module imported by an earlier test would show up.

@@ -7,6 +7,7 @@ import pytest
 import minkruled as mk
 from minkruled import cli, verify
 
+from test_evaluation import drifting
 from test_golden import GOLDEN, SCENE, assert_text_close, cli_stdout
 
 
@@ -131,6 +132,19 @@ def test_unsatisfiable_filter_raises_after_fifty_draws_per_trial(monkeypatch):
             curve, 1.0, (1.01, math.pi), np.random.default_rng(1), 3, min_denominator=2.0
         )
     assert calls["draws"] == 50 * 3
+
+
+def test_velocity_check_of_a_rejected_candidate_is_not_read():
+    # the position drifts off r' all over the window, so every candidate
+    # fails the involute velocity check; a filter that rejects every regular
+    # draw leaves no determinant drall to check, as for one draw at a time
+    curve = drifting(mk.helix_curve(2 / 3, 1 / 3, domain=(0.0, math.pi)), scale=1.0)
+    window = (1.01, math.pi)
+    for run in (verify.run_trials, sequential_trials):
+        with pytest.raises(RuntimeError, match="well-conditioned"):
+            run(curve, 1.0, window, np.random.default_rng(1), 3, 2.0)
+        with pytest.raises(mk.GeometryError, match="velocity cross-check failed"):
+            run(curve, 1.0, window, np.random.default_rng(1), 3, 0.02)
 
 
 @pytest.mark.parametrize("trials", [0, -4])
